@@ -1,0 +1,241 @@
+"""Warm answer path — per-stage milliseconds per query, per codegen backend.
+
+Not a paper artifact: this bench tracks what one *warm* temporal codegen
+answer costs, the way ``repro serve`` answers it (serial in-process
+``repro.api.answer_queries``, worker contexts kept across calls), split into
+the stages of the answer path:
+
+* ``namespace`` — ``repro.synthesis.temporal.timeline_namespace``;
+* ``validate_compile`` — ``validate_source`` plus ``compile`` as the sandbox
+  calls them (only cache misses reach them on a tree that caches code);
+* ``exec`` — ``ExecutionSandbox.execute`` minus the two calls above;
+* ``evaluate`` — ``ResultsEvaluator.evaluate_temporal``;
+* ``total`` — the whole ``answer_queries`` call.
+
+It also records the namespace cost curve on the ``fat-tree-failover``
+timeline for fat-tree ``k`` = 4..24: the per-request ``timeline_namespace``
+cost and, on trees that share a frozen namespace, the one-off
+``freeze_timeline`` cost.
+
+Results go to ``benchmarks/results/warm_path.json`` under a label, next to
+the entries already there, each with its host record (``nproc``, Python).
+To compare two checkouts on one host, run the script once per checkout::
+
+    PYTHONPATH=<other-checkout>/src python benchmarks/bench_warm_path.py --label before
+    PYTHONPATH=src python benchmarks/bench_warm_path.py --label after
+
+``python -m pytest benchmarks/bench_warm_path.py`` runs a short smoke
+version and stores it under the ``smoke`` label.
+"""
+
+from __future__ import annotations
+
+import argparse
+import builtins
+import dataclasses
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+from collections import defaultdict
+from functools import partial
+from pathlib import Path
+from typing import Any, Callable, Dict, List, Sequence
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from helpers import RESULTS_DIR  # noqa: E402
+
+RESULTS_PATH = RESULTS_DIR / "warm_path.json"
+BACKENDS = ("networkx", "frames")
+FAT_TREE_KS = (4, 8, 12, 16, 20, 24)
+#: timed passes over the temporal corpus per backend
+ROUNDS = 20
+#: timed repeats per namespace-curve point
+REPEATS = 7
+STAGES = ("namespace", "validate_compile", "exec", "evaluate", "total")
+
+
+class StageTimer:
+    """Accumulates wall time per stage by wrapping each stage's function
+    where its caller looks it up; :meth:`remove` restores every attribute."""
+
+    def __init__(self) -> None:
+        self.seconds: Dict[str, float] = defaultdict(float)
+        self._patches: List[tuple] = []
+
+    def _wrap(self, owner: Any, attribute: str, stage: str,
+              original: Callable) -> None:
+        seconds = self.seconds
+
+        def timed(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return original(*args, **kwargs)
+            finally:
+                seconds[stage] += time.perf_counter() - start
+
+        self._patches.append((owner, attribute, vars(owner).get(attribute)))
+        setattr(owner, attribute, timed)
+
+    def install(self) -> "StageTimer":
+        from repro.benchmark import evaluator
+        from repro.sandbox import executor
+        from repro.synthesis import temporal
+
+        self._wrap(temporal, "timeline_namespace", "namespace",
+                   temporal.timeline_namespace)
+        self._wrap(executor, "validate_source", "validate_compile",
+                   executor.validate_source)
+        # shadows the builtin for the sandbox module only
+        self._wrap(executor, "compile", "validate_compile", builtins.compile)
+        self._wrap(executor.ExecutionSandbox, "execute", "execute",
+                   executor.ExecutionSandbox.execute)
+        self._wrap(evaluator.ResultsEvaluator, "evaluate_temporal", "evaluate",
+                   evaluator.ResultsEvaluator.evaluate_temporal)
+        return self
+
+    def remove(self) -> None:
+        while self._patches:
+            owner, attribute, original = self._patches.pop()
+            if original is None:
+                delattr(owner, attribute)
+            else:
+                setattr(owner, attribute, original)
+
+
+def host_record() -> Dict[str, Any]:
+    import repro
+
+    return {"nproc": os.cpu_count(), "python": platform.python_version(),
+            "machine": platform.machine(), "repro_version": repro.__version__}
+
+
+def _requests(backend: str):
+    from repro.api import QuerySpec
+    from repro.benchmark.queries import temporal_queries_for, temporal_scenario_names
+
+    return [QuerySpec(scenario=scenario, query=query.query_id, backend=backend)
+            for scenario in temporal_scenario_names()
+            for query in temporal_queries_for(scenario)]
+
+
+def warm_stage_costs(rounds: int) -> Dict[str, Dict[str, float]]:
+    """Per backend: mean ms per warm query of every stage."""
+    from repro.api import answer_queries
+    from repro.exec import ExecutorPolicy, clear_worker_contexts
+
+    costs = {}
+    for backend in BACKENDS:
+        requests = _requests(backend)
+        policy = ExecutorPolicy.serial(keep_contexts=True)
+        clear_worker_contexts()
+        try:
+            for request in requests:  # warm-up: build every context once
+                answer_queries([request], policy=policy)
+            timer = StageTimer().install()
+            try:
+                for _ in range(rounds):
+                    for request in requests:
+                        start = time.perf_counter()
+                        answer_queries([request], policy=policy)
+                        timer.seconds["total"] += time.perf_counter() - start
+            finally:
+                timer.remove()
+        finally:
+            clear_worker_contexts()
+        queries = rounds * len(requests)
+        seconds = dict(timer.seconds)
+        seconds["exec"] = seconds.pop("execute") - seconds.get("validate_compile", 0.0)
+        costs[backend] = {stage: round(1000.0 * seconds.get(stage, 0.0) / queries, 4)
+                          for stage in STAGES}
+        costs[backend]["queries"] = queries
+    return costs
+
+
+def _median_ms(action: Callable[[], Any], repeats: int) -> float:
+    samples = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        action()
+        samples.append(1000.0 * (time.perf_counter() - start))
+    return round(statistics.median(samples), 4)
+
+
+def namespace_curve(ks: Sequence[int], repeats: int) -> List[Dict[str, Any]]:
+    """Namespace cost against fat-tree size, per backend."""
+    from repro.scenarios.engine import replay_scenario, timeline_to_dict
+    from repro.scenarios.registry import get_scenario
+    from repro.synthesis import temporal
+
+    base = get_scenario("fat-tree-failover")
+    freeze = getattr(temporal, "freeze_timeline", None)
+    curve = []
+    for k in ks:
+        spec = dataclasses.replace(base, params={**base.params, "k": k})
+        timeline = replay_scenario(spec)
+        parsed = temporal.parse_timeline_payload(timeline_to_dict(timeline))
+        final = timeline.snapshots[-1].graph
+        point = {"k": k, "nodes": final.node_count, "edges": final.edge_count,
+                 "snapshots": len(parsed)}
+        for backend in BACKENDS:
+            if freeze is None:  # a tree that rebuilds the namespace per request
+                shared, build_ms = parsed, None
+            else:
+                build_ms = _median_ms(partial(freeze, parsed, backend), repeats)
+                shared = freeze(parsed, backend)
+            point[backend] = {
+                "build_ms": build_ms,
+                "per_request_ms": _median_ms(
+                    partial(temporal.timeline_namespace, shared, backend), repeats),
+            }
+        curve.append(point)
+    return curve
+
+
+def measure(rounds: int, ks: Sequence[int], repeats: int) -> Dict[str, Any]:
+    return {"host": host_record(),
+            "stages_ms_per_query": warm_stage_costs(rounds),
+            "namespace_curve": namespace_curve(ks, repeats)}
+
+
+def store(label: str, entry: Dict[str, Any], path: Path = RESULTS_PATH) -> Dict[str, Any]:
+    """Write *entry* under *label*, keeping every other label's entry."""
+    document = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
+    document[label] = entry
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n",
+                    encoding="utf-8")
+    return document
+
+
+def test_warm_path(benchmark):
+    entry = measure(rounds=2, ks=FAT_TREE_KS, repeats=3)
+    benchmark.pedantic(lambda: warm_stage_costs(1), rounds=1, iterations=1)
+    store("smoke", entry)
+
+    for backend, stages in entry["stages_ms_per_query"].items():
+        assert stages["total"] > 0, backend
+        assert stages["namespace"] < stages["total"], (backend, stages)
+    largest = entry["namespace_curve"][-1]
+    for backend in BACKENDS:
+        # the per-request view must not pay for the graph conversion
+        cost = largest[backend]
+        assert cost["per_request_ms"] * 10 < cost["build_ms"], (backend, cost)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--label", default="after",
+                        help="key of this run in warm_path.json (default: after)")
+    args = parser.parse_args(argv)
+    entry = measure(ROUNDS, FAT_TREE_KS, REPEATS)
+    store(args.label, entry)
+    print(json.dumps({args.label: entry}, indent=2, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -309,7 +309,9 @@ def answer_queries(requests: Sequence[QuerySpec],
     Duplicate requests collapse to one cell (every copy receives the same
     answer), the task set is profiled latency-bound — answer cells model
     the provider round trip — and results come back in request order
-    whatever executor the *policy* resolves to.
+    whatever executor the *policy* resolves to.  A cell whose worker
+    raised fails the batch with :class:`~repro.exec.TaskExecutionError`
+    naming the cell and its error.
     """
     require(bool(requests), "answer_queries needs at least one request")
     config = config or BenchmarkConfig()
@@ -331,12 +333,13 @@ def answer_queries(requests: Sequence[QuerySpec],
         keys.append(task.key)
 
     report = run_tasks(task_set, policy=policy)
+    report.raise_on_error()
     results = {result.key: result for result in report.results}
     answers: List[QueryAnswer] = []
     for key in keys:
         result = results[key]
         spec, resolved, model, backend = resolved_by_key[key]
-        value = result.value  # raises TaskExecutionError if the cell errored
+        value = result.value
         record: EvaluationRecord = value["record"]
         answers.append(QueryAnswer(
             scenario=spec.name,

@@ -18,6 +18,7 @@ against a golden list.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -76,7 +77,7 @@ def _normalize(value: Any) -> Any:
         return sorted(_normalize(item) for item in value)
     if isinstance(value, list):
         return [_normalize(item) for item in value]
-    if isinstance(value, dict):
+    if isinstance(value, Mapping):
         return {key: _normalize(item) for key, item in value.items()}
     return value
 

@@ -114,6 +114,18 @@ def _replay_timeline(spec_dict: Dict[str, Any]):
     return replay_scenario(ScenarioSpec.from_dict(spec_dict))
 
 
+def _freeze_timeline(timeline, spec_hash: str, backend: str):
+    """The shared read-only namespace of *timeline* for one codegen backend,
+    built from the per-process parse shared by both backends."""
+    from repro.scenarios.engine import timeline_to_dict
+    from repro.synthesis.temporal import freeze_timeline, parse_timeline_payload
+
+    parsed = worker_context(
+        ("scenario-timeline-parsed", spec_hash),
+        lambda: parse_timeline_payload(timeline_to_dict(timeline)))
+    return freeze_timeline(parsed, backend)
+
+
 def _corrupt(value: Any) -> Any:
     """A deterministic wrong answer of last resort, shaped like *value*."""
     if isinstance(value, bool):
@@ -221,8 +233,10 @@ def _faulty_temporal_program(timeline, query, backend: str, golden_value: Any,
 def run_temporal_cell(payload: Dict[str, Any]):
     """Worker: answer one temporal query and return its verdict.
 
-    The timeline replay (and, for codegen backends, its serialized form) is
-    memoized per process — cells of one scenario chunk together via their
+    The timeline replay (and, for codegen backends, its parsed form and the
+    read-only namespace of each backend — see
+    :mod:`repro.synthesis.temporal`) is memoized per process — cells of one
+    scenario chunk together via their
     shard group — and the golden is served by a memoized
     :class:`~repro.benchmark.goldens.TemporalGoldenSelector` keyed on the
     timeline's snapshot digests.
@@ -279,15 +293,14 @@ def run_temporal_cell(payload: Dict[str, Any]):
                                                details=details, backend=backend)
 
     # codegen backends: emit, sandbox-execute, evaluate.  The serialized
-    # timeline is parsed once per process (graphs treated as immutable);
-    # each cell only pays the per-backend namespace conversion.
-    from repro.scenarios.engine import timeline_to_dict
+    # timeline is parsed once per process and frozen once per backend; each
+    # cell only builds the two per-request namespace lists over it.
     from repro.synthesis import CodeSynthesisEngine
-    from repro.synthesis.temporal import parse_timeline_payload, run_temporal_program
+    from repro.synthesis.temporal import run_temporal_program
 
-    parsed_timeline = worker_context(
-        ("scenario-timeline-parsed", spec_hash),
-        lambda: parse_timeline_payload(timeline_to_dict(timeline)))
+    frozen_timeline = worker_context(
+        ("temporal-namespace", spec_hash, backend),
+        lambda: _freeze_timeline(timeline, spec_hash, backend))
     engine = worker_context(("synthesis-engine",), CodeSynthesisEngine)
 
     if intended_correct:
@@ -297,7 +310,9 @@ def run_temporal_cell(payload: Dict[str, Any]):
             timeline, query, backend, golden.value, engine, calibration, model)
         details["fault"] = fault_label
 
-    outcome = run_temporal_program(code, parsed_timeline, backend)
+    # the programs come from the finite template table: cache their code
+    outcome = run_temporal_program(code, frozen_timeline, backend,
+                                   cache_code=True)
     with span("benchmark.evaluate", attrs={"query": query.query_id,
                                            "backend": backend}):
         if outcome.failed:

@@ -29,6 +29,7 @@ class DataFrame:
     def __init__(self, data: Optional[Mapping[str, Iterable[Any]]] = None,
                  columns: Optional[Sequence[str]] = None) -> None:
         self._columns: Dict[str, List[Any]] = {}
+        self._read_only = False
         if data:
             lengths = set()
             for name, values in data.items():
@@ -63,6 +64,16 @@ class DataFrame:
         for record in records:
             frame._append_record({col: record.get(col) for col in columns})
         return frame
+
+    def freeze(self) -> "DataFrame":
+        """Make this frame read-only in place and return it.
+
+        Column assignment on a frozen frame raises :class:`FrameError`, so
+        one frame can be shared by many readers; every transformation
+        (``assign``, ``copy``, selections) still returns a writable frame.
+        """
+        self._read_only = True
+        return self
 
     def _append_record(self, record: Record) -> None:
         for column in self._columns:
@@ -112,6 +123,9 @@ class DataFrame:
         raise FrameError(f"unsupported selection key: {key!r}")
 
     def __setitem__(self, column: str, values: Union[Series, Iterable[Any], Any]) -> None:
+        if self._read_only:
+            raise FrameError(f"cannot assign column {column!r}: the frame is read-only; "
+                             f"use assign() for a modified copy")
         if isinstance(values, Series):
             values = list(values.values)
         elif isinstance(values, (list, tuple)):

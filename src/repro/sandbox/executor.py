@@ -8,9 +8,11 @@ import io
 import threading
 import time
 import traceback
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from dataclasses import dataclass, field, fields
+from types import CodeType
+from typing import Any, Dict, Optional, Union
 
+from repro.exec.workers import worker_context
 from repro.obs import default_registry, span
 from repro.sandbox.policy import PolicyViolation, SandboxPolicy, validate_source
 
@@ -42,6 +44,28 @@ def _safe_builtins() -> Dict[str, Any]:
     # a controlled __import__ that honours the sandbox policy is installed
     # per-execution in ExecutionSandbox.execute
     return table
+
+
+#: serializes ``ast.parse``/``compile``: CPython 3.11 can raise ``SystemError:
+#: AST constructor recursion depth mismatch`` when threads build ASTs at once
+_AST_LOCK = threading.Lock()
+
+
+def _checked_code(source: str, policy: SandboxPolicy,
+                  validate: bool) -> Union[CodeType, SyntaxError, PolicyViolation]:
+    """Validate and compile *source*: the code object, or the rejection."""
+    with _AST_LOCK:
+        try:
+            if validate:
+                validate_source(source, policy)
+            return compile(source, "<generated-code>", "exec")
+        except (SyntaxError, PolicyViolation) as exc:
+            # cached and reported many times: keep no frames alive
+            return exc.with_traceback(None)
+
+
+def _policy_key(policy: SandboxPolicy) -> tuple:
+    return tuple(getattr(policy, spec.name) for spec in fields(policy))
 
 
 @dataclass
@@ -93,16 +117,24 @@ class ExecutionSandbox:
         return __import__(name, globals, locals, fromlist, level)
 
     def execute(self, source: str, namespace: Optional[Dict[str, Any]] = None,
-                validate: bool = True) -> ExecutionOutcome:
+                validate: bool = True, cache_code: bool = False) -> ExecutionOutcome:
         """Execute *source* and capture its outcome.
 
         The provided *namespace* (graph objects, frames, databases, helper
         libraries) is copied into the execution globals; the same dictionary
         is returned in the outcome so callers can inspect mutations.
+
+        With *cache_code*, the code object (or the rejection) is kept in a
+        :func:`~repro.exec.workers.worker_context` entry keyed by (source,
+        *validate*, policy), so it lives as long as the fabric's other
+        memos.  Fabric workers whose programs come from a finite template
+        table set it; callers that write parsed values into the source
+        (freeform ``ask``, sampling) leave it off, or every distinct query
+        would stay cached.
         """
         attrs: Dict[str, Any] = {"source_bytes": len(source)}
         with span("sandbox.execute", attrs=attrs):
-            outcome = self._execute(source, namespace, validate)
+            outcome = self._execute(source, namespace, validate, cache_code)
             if outcome.failed:
                 attrs["error"] = outcome.error_type
         registry = default_registry()
@@ -112,7 +144,7 @@ class ExecutionSandbox:
         return outcome
 
     def _execute(self, source: str, namespace: Optional[Dict[str, Any]],
-                 validate: bool) -> ExecutionOutcome:
+                 validate: bool, cache_code: bool) -> ExecutionOutcome:
         start = time.perf_counter()
         exec_globals: Dict[str, Any] = dict(namespace or {})
         builtin_table = _safe_builtins()
@@ -120,18 +152,16 @@ class ExecutionSandbox:
         exec_globals["__builtins__"] = builtin_table
         stdout_buffer = io.StringIO()
 
-        if validate:
-            try:
-                validate_source(source, self.policy)
-            except SyntaxError as exc:
-                return self._failure(exc, stdout_buffer, exec_globals, start)
-            except PolicyViolation as exc:
-                return self._failure(exc, stdout_buffer, exec_globals, start)
-
-        try:
-            compiled = compile(source, "<generated-code>", "exec")
-        except SyntaxError as exc:
-            return self._failure(exc, stdout_buffer, exec_globals, start)
+        policy = self.policy
+        if cache_code:
+            # the verdict depends only on (source, validate, policy)
+            compiled = worker_context(
+                ("sandbox-code", source, validate, _policy_key(policy)),
+                lambda: _checked_code(source, policy, validate))
+        else:
+            compiled = _checked_code(source, policy, validate)
+        if not isinstance(compiled, CodeType):
+            return self._failure(compiled, stdout_buffer, exec_globals, start)
 
         error_holder: Dict[str, BaseException] = {}
 

@@ -115,6 +115,20 @@ class TestAnswers:
                 left_doc.pop(key), right_doc.pop(key)
             assert left_doc == right_doc
 
+    def test_errored_cell_raises_its_cause(self, monkeypatch):
+        """A worker that raises surfaces as TaskExecutionError naming the
+        cell and the error, not as a TypeError on the missing value."""
+        from repro.exec import TaskExecutionError
+
+        def broken_cell(payload):
+            raise RuntimeError("namespace exploded")
+
+        monkeypatch.setattr(api, "run_api_cell", broken_cell)
+        with pytest.raises(TaskExecutionError, match="namespace exploded") as excinfo:
+            api.answer_queries([QuerySpec("fat-tree-failover", "tq-e1")])
+        assert [result.key for result in excinfo.value.failures] == [
+            "api/fat-tree-failover/temporal/direct/tq-e1/gpt-4"]
+
     def test_temporal_entry_point_rejects_static_queries(self):
         with pytest.raises(ValidationError, match="not a temporal query"):
             api.answer_temporal_query("fat-tree-failover", "ta-e1")

@@ -101,6 +101,38 @@ class TestCompareValues:
     def test_tuple_equals_list(self):
         assert compare_values(["a", "b"], ("a", "b"))
 
+    def test_any_mapping_normalizes_like_a_dict(self):
+        from types import MappingProxyType
+
+        from repro.benchmark.evaluator import normalize_value
+
+        plain = {"g1": [["a", "b"]], "g2": {"nested": [1, 2]}}
+        shared = MappingProxyType({"g1": (("a", "b"),),
+                                   "g2": MappingProxyType({"nested": (1, 2)})})
+        normalized = normalize_value(shared)
+        assert type(normalized) is dict and type(normalized["g2"]) is dict
+        assert normalized == normalize_value(plain)
+        assert compare_values(plain, shared)
+
+    def test_shared_namespace_result_answers_like_a_plain_one(self):
+        """A program leaving shared read-only state in ``result`` answers
+        with the same document a plain copy of that state produces."""
+        import json
+
+        from repro.benchmark.evaluator import normalize_value
+        from repro.scenarios import get_scenario
+        from repro.scenarios.engine import replay_scenario, timeline_to_dict
+        from repro.synthesis.temporal import freeze_timeline, run_temporal_program
+
+        payload = timeline_to_dict(replay_scenario(get_scenario("fat-tree-failover")))
+        outcome = run_temporal_program(
+            "result = snapshots[0]['attributes']['srlgs']",
+            freeze_timeline(payload, "networkx"), "networkx")
+        assert outcome.success, outcome.describe_error()
+        plain = payload["snapshots"][0]["graph"]["graph_attributes"]["srlgs"]
+        assert (json.dumps(normalize_value(outcome.result), sort_keys=True)
+                == json.dumps(normalize_value(plain), sort_keys=True))
+
 
 class TestGoldenSelector:
     def test_golden_cached(self, traffic_app):

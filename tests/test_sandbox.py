@@ -147,3 +147,104 @@ class TestExecutionSandbox:
         sandbox = ExecutionSandbox(result_variable="answer")
         outcome = sandbox.execute("answer = 7", {})
         assert outcome.result == 7
+
+
+class TestCodeCache:
+    def test_rejections_are_cached_and_reported_alike(self, monkeypatch):
+        from repro.exec import clear_worker_contexts
+        from repro.sandbox import executor
+
+        calls = []
+        real_validate = executor.validate_source
+
+        def counting(source, policy=None):
+            calls.append(source)
+            return real_validate(source, policy)
+
+        monkeypatch.setattr(executor, "validate_source", counting)
+        clear_worker_contexts()
+        try:
+            sandbox = ExecutionSandbox()
+            for source in ("import os", "for x in (:", "result = 1"):
+                first = sandbox.execute(source, {}, cache_code=True)
+                second = sandbox.execute(source, {}, cache_code=True)
+                assert first.describe_error() == second.describe_error()
+                assert first.traceback_text == second.traceback_text
+            assert len(calls) == 3
+            # a different policy is a different verdict
+            relaxed = ExecutionSandbox(SandboxPolicy().with_extra_imports("os"))
+            assert relaxed.execute("import os", {}, cache_code=True).success
+            assert len(calls) == 4
+        finally:
+            clear_worker_contexts()
+
+    def test_code_is_not_cached_unless_asked(self, monkeypatch):
+        from repro.exec import clear_worker_contexts
+        from repro.exec.workers import _CONTEXT_CACHE
+        from repro.sandbox import executor
+
+        calls = []
+        real_validate = executor.validate_source
+
+        def counting(source, policy=None):
+            calls.append(source)
+            return real_validate(source, policy)
+
+        monkeypatch.setattr(executor, "validate_source", counting)
+        clear_worker_contexts()
+        try:
+            sandbox = ExecutionSandbox()
+            for value in range(5):
+                assert sandbox.execute(f"result = {value}", {}).result == value
+            assert sandbox.execute("result = 0", {}).success
+            assert len(calls) == 6
+            assert not _CONTEXT_CACHE
+        finally:
+            clear_worker_contexts()
+
+    def test_ast_building_is_serialized_across_threads(self, monkeypatch):
+        """Concurrent ``ast.parse`` can fail on CPython 3.11 (``SystemError:
+        AST constructor recursion depth mismatch``); the sandbox lets one
+        thread build an AST at a time."""
+        import ast
+        import threading
+        import time
+
+        from repro.exec import clear_worker_contexts
+
+        real_parse = ast.parse
+        state = {"inside": 0, "peak": 0}
+        guard = threading.Lock()
+
+        def probe(*args, **kwargs):
+            with guard:
+                state["inside"] += 1
+                state["peak"] = max(state["peak"], state["inside"])
+            try:
+                time.sleep(0.01)  # widen the window a race would need
+                return real_parse(*args, **kwargs)
+            finally:
+                with guard:
+                    state["inside"] -= 1
+
+        monkeypatch.setattr(ast, "parse", probe)
+        clear_worker_contexts()
+        outcomes = []
+
+        def validate(index):
+            for round_index in range(3):
+                source = f"result = {index} * 100 + {round_index}"
+                outcomes.append(ExecutionSandbox().execute(source, {}))
+
+        try:
+            threads = [threading.Thread(target=validate, args=(index,))
+                       for index in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            clear_worker_contexts()
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(outcomes) == 12 and all(outcome.success for outcome in outcomes)
+        assert state["peak"] == 1
