@@ -12,10 +12,15 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.graph import PropertyGraph, compute_stats
-from repro.graph.convert import to_frames, to_networkx, to_sql_database
+from repro.graph.convert import frames_to_database, to_frames, to_networkx
+
+# sql_view builds on the memoized frames and never calls to_sql_database; it
+# stays importable here because perfbench's traced run wraps every view
+# builder at this module
+from repro.graph.convert import to_sql_database  # noqa: F401
 
 
 @dataclass
@@ -59,6 +64,12 @@ class NetworkApplication(abc.ABC):
     Subclasses provide the raw-data-to-graph conversion and the
     natural-language context; this base class provides the representation
     conversions shared by every backend and the state-sync hook.
+
+    The prompt summary and the frames are built once per current graph and
+    reused by every query until :meth:`sync_state` installs a new graph.
+    The current graph must therefore never be mutated in place; every view
+    handed out is a fresh, writable structure, so a query cannot leak its
+    edits into the next one.
     """
 
     #: short machine-readable identifier ("traffic_analysis", "malt")
@@ -67,6 +78,8 @@ class NetworkApplication(abc.ABC):
     def __init__(self, graph: PropertyGraph) -> None:
         self._graph = graph
         self._history: List[Dict[str, Any]] = []
+        #: (the graph the entries were built from, {entry name: value})
+        self._memo: Tuple[Optional[PropertyGraph], Dict[str, Any]] = (None, {})
 
     # ------------------------------------------------------------------
     # data access
@@ -76,17 +89,37 @@ class NetworkApplication(abc.ABC):
         """The current network state as a property graph."""
         return self._graph
 
+    def _memoized(self, name: str, build: Callable[[], Any]) -> Any:
+        """The entry *name* for the current graph, built on first use.
+
+        Entries are keyed on the identity of the current graph, so replacing
+        it (:meth:`sync_state`) drops them all.
+        """
+        graph, entries = self._memo
+        if graph is not self._graph:
+            entries = {}
+            self._memo = (self._graph, entries)
+        if name not in entries:
+            entries[name] = build()
+        return entries[name]
+
+    def _frames(self):
+        """The read-only ``(node_frame, edge_frame)`` of the current graph."""
+        return self._memoized("frames", lambda: tuple(
+            frame.freeze() for frame in to_frames(self._graph)))
+
     def networkx_view(self):
         """The state as a ``networkx`` graph (NetworkX backend input)."""
         return to_networkx(self._graph)
 
     def frame_view(self):
         """The state as ``(node_frame, edge_frame)`` (pandas-style backend input)."""
-        return to_frames(self._graph)
+        node_frame, edge_frame = self._frames()
+        return node_frame.copy(deep=False), edge_frame.copy(deep=False)
 
     def sql_view(self):
         """The state as an in-memory SQL database (SQL backend input)."""
-        return to_sql_database(self._graph)
+        return frames_to_database(*self._frames(), self._graph.name)
 
     # ------------------------------------------------------------------
     # description for prompt generation
@@ -97,6 +130,9 @@ class NetworkApplication(abc.ABC):
 
     def graph_summary(self) -> str:
         """One-paragraph quantitative summary of the current graph."""
+        return self._memoized("summary", self._build_summary)
+
+    def _build_summary(self) -> str:
         stats = compute_stats(self._graph)
         return (f"The graph has {stats.node_count} nodes and {stats.edge_count} edges; "
                 f"node attributes: {', '.join(stats.node_attribute_keys) or 'none'}; "

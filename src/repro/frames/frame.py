@@ -179,7 +179,11 @@ class DataFrame:
     def tail(self, n: int = 5) -> "DataFrame":
         return DataFrame({column: values[-n:] if n else [] for column, values in self._columns.items()})
 
-    def copy(self) -> "DataFrame":
+    def copy(self, deep: bool = True) -> "DataFrame":
+        """A writable copy; ``deep=False`` copies the column lists but shares
+        their values (cheap, and enough when the values are not mutated)."""
+        if not deep:
+            return DataFrame(self._columns)
         return DataFrame({column: _copy.deepcopy(values) for column, values in self._columns.items()})
 
     def drop(self, columns: Union[str, Sequence[str]]) -> "DataFrame":

@@ -19,7 +19,7 @@ import networkx as nx
 
 from repro.frames import DataFrame
 from repro.graph.model import PropertyGraph
-from repro.sqlengine import Database
+from repro.sqlengine import Database, Table
 
 
 NODE_ID_COLUMN = "id"
@@ -126,10 +126,18 @@ def from_frames(node_frame: DataFrame, edge_frame: DataFrame,
 # ---------------------------------------------------------------------------
 def to_sql_database(graph: PropertyGraph, name: Optional[str] = None) -> Database:
     """Convert into a :class:`~repro.sqlengine.Database` with node/edge tables."""
-    database = Database(name or graph.name)
     node_frame, edge_frame = to_frames(graph)
-    database.create_table("nodes", node_frame.columns, node_frame.to_records())
-    database.create_table("edges", edge_frame.columns, edge_frame.to_records())
+    return frames_to_database(node_frame, edge_frame, name or graph.name)
+
+
+def frames_to_database(node_frame: DataFrame, edge_frame: DataFrame,
+                       name: str) -> Database:
+    """A database whose ``nodes``/``edges`` tables hold the rows of frames
+    produced by :func:`to_frames` (the frames themselves are not modified)."""
+    database = Database(name)
+    for table_name, frame in (("nodes", node_frame), ("edges", edge_frame)):
+        database.add_table(Table.from_columns(
+            table_name, {column: frame[column].values for column in frame.columns}))
     return database
 
 

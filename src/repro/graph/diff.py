@@ -84,7 +84,13 @@ class GraphDiff:
 
 
 def values_equal(left: Any, right: Any, float_tolerance: float = 1e-9) -> bool:
-    """Compare attribute values with float tolerance and container recursion."""
+    """Compare attribute values with float tolerance and container recursion.
+
+    An object always equals itself, NaN included: a value the code under
+    test never touched must not count as a change.
+    """
+    if left is right:
+        return True
     if isinstance(left, float) or isinstance(right, float):
         try:
             return math.isclose(float(left), float(right), rel_tol=float_tolerance,
@@ -121,6 +127,8 @@ def _diff_attrs(left: Dict[str, Any], right: Dict[str, Any],
 def diff_graphs(expected: PropertyGraph, actual: PropertyGraph,
                 float_tolerance: float = 1e-9) -> GraphDiff:
     """Return the full structural/attribute diff between two graphs."""
+    if _same_adjacency(expected, actual):
+        return GraphDiff()
     diff = GraphDiff()
     expected_nodes = set(expected.nodes())
     actual_nodes = set(actual.nodes())
@@ -145,6 +153,22 @@ def diff_graphs(expected: PropertyGraph, actual: PropertyGraph,
                                             float_tolerance):
             diff.edge_attribute_mismatches.append((edge, key, left, right))
     return diff
+
+
+def _same_adjacency(expected: PropertyGraph, actual: PropertyGraph) -> bool:
+    """True when the graphs' stored nodes, edges and attributes compare equal.
+
+    Plain ``==`` on the adjacency dicts is stricter than the tolerant
+    comparison below (it treats an object as equal to itself first, as
+    :func:`values_equal` does), so when it holds the full diff is empty.
+    An undirected graph lists each edge in the orientation its first
+    endpoint was stored in, so there the node order must match as well.
+    """
+    if expected.directed != actual.directed:
+        return False
+    if not expected.directed and list(expected._nodes) != list(actual._nodes):
+        return False
+    return expected._nodes == actual._nodes and expected._succ == actual._succ
 
 
 def graphs_equal(expected: PropertyGraph, actual: PropertyGraph,

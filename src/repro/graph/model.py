@@ -212,7 +212,13 @@ class PropertyGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges())
+        stored = sum(len(targets) for targets in self._succ.values())
+        if self.directed:
+            return stored
+        # an undirected edge is stored in both endpoints' successors, a
+        # self-loop only once
+        self_loops = sum(1 for node, targets in self._succ.items() if node in targets)
+        return (stored + self_loops) // 2
 
     # ------------------------------------------------------------------
     # adjacency queries

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import copy as _copy
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
 
 from repro.sqlengine.errors import SqlExecutionError
 
@@ -21,6 +21,22 @@ class Table:
         if rows:
             for row in rows:
                 self.insert(row)
+
+    @classmethod
+    def from_columns(cls, name: str, columns: Mapping[str, Sequence[Any]]) -> "Table":
+        """A table of equally long column lists, one row dict per position.
+
+        The column names are the schema, so this skips the per-row
+        :meth:`insert` check the row constructor makes.
+        """
+        table = cls(name, list(columns))
+        lengths = {len(values) for values in columns.values()}
+        if len(lengths) > 1:
+            raise SqlExecutionError(
+                f"table {name!r} columns have differing lengths: {sorted(lengths)}")
+        names = table.columns
+        table.rows = [dict(zip(names, row)) for row in zip(*columns.values())]
+        return table
 
     def insert(self, row: Row) -> None:
         """Insert a row; unknown columns are rejected, missing ones become NULL."""
@@ -102,10 +118,13 @@ class Database:
 
     def create_table(self, name: str, columns: Sequence[str],
                      rows: Optional[Iterable[Row]] = None) -> Table:
-        if name in self._tables:
-            raise SqlExecutionError(f"table {name!r} already exists")
-        table = Table(name, columns, rows)
-        self._tables[name] = table
+        return self.add_table(Table(name, columns, rows))
+
+    def add_table(self, table: Table) -> Table:
+        """Register an already built *table* under its own name."""
+        if table.name in self._tables:
+            raise SqlExecutionError(f"table {table.name!r} already exists")
+        self._tables[table.name] = table
         return table
 
     def drop_table(self, name: str) -> None:

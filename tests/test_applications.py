@@ -3,7 +3,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.benchmark import BenchmarkRunner
+from repro.core import NetworkManagementPipeline
+from repro.core import application as application_module
 from repro.core.application import ApplicationContext
+from repro.exec import clear_worker_contexts
+from repro.frames import FrameError
+from repro.graph import graphs_equal
+from repro.llm.base import LlmProvider
 from repro.malt import (
     EntityKind,
     MaltTopologyConfig,
@@ -176,6 +183,102 @@ class TestTrafficApplication:
         application.sync_state(updated, query="add a node", approved_by="operator")
         assert application.graph.node_count == 11
         assert application.history[0]["query"] == "add a node"
+
+
+class _ScriptedProvider(LlmProvider):
+    """A provider whose every answer is one fixed code block."""
+
+    model_name = "gpt-4"
+
+    def __init__(self, language: str, code: str) -> None:
+        super().__init__()
+        self._text = f"```{language}\n{code}\n```"
+
+    def _generate(self, request):
+        return self._text, {}
+
+
+#: backend -> (code block language, a cell that edits every view it gets)
+_TAMPERING_CELLS = {
+    "networkx": ("python", "first = list(G.nodes)[0]\n"
+                           "G.nodes[list(G.nodes)[1]]['type'] = 'tampered'\n"
+                           "G.remove_node(first)\n"
+                           "result = G.number_of_nodes()"),
+    "pandas": ("python", "nodes_df['type'] = 'tampered'\n"
+                         "edges_df['bytes'] = 0\n"
+                         "nodes_df = nodes_df[nodes_df['type'] == 'none']\n"
+                         "result = len(nodes_df)"),
+    "sql": ("sql", "UPDATE nodes SET type = 'tampered';\n"
+                   "DELETE FROM edges;\n"
+                   "SELECT COUNT(*) FROM edges"),
+}
+
+
+def _view_fingerprint(application):
+    """Everything a cell can read from the three views, as plain data."""
+    nx_graph = application.networkx_view()
+    nodes_df, edges_df = application.frame_view()
+    database = application.sql_view()
+    return {
+        "networkx": (sorted(nx_graph.nodes(data="type")),
+                     sorted((u, v, d["bytes"]) for u, v, d in nx_graph.edges(data=True))),
+        "frames": (nodes_df.to_records(), edges_df.to_records()),
+        "sql": (database.table("nodes").rows, database.table("edges").rows),
+    }
+
+
+class TestStaticViewIsolation:
+    @pytest.mark.parametrize("backend", sorted(_TAMPERING_CELLS))
+    def test_tampering_cell_leaks_nothing(self, backend):
+        application = TrafficAnalysisApplication.with_size(12, 15)
+        pristine = application.graph.copy()
+        before = _view_fingerprint(application)
+        language, code = _TAMPERING_CELLS[backend]
+        pipeline = NetworkManagementPipeline(
+            application, _ScriptedProvider(language, code), backend)
+        result = pipeline.run_query("tamper with everything")
+        assert result.succeeded, result.error_message
+        assert not graphs_equal(pristine, result.updated_graph)
+        assert graphs_equal(pristine, application.graph)
+        assert _view_fingerprint(application) == before
+
+    def test_memoized_frames_are_read_only(self):
+        application = TrafficAnalysisApplication.with_size(12, 15)
+        for frame in application._frames():
+            with pytest.raises(FrameError):
+                frame["type"] = "tampered"
+        # the frames handed to a cell stay writable
+        nodes_df, _ = application.frame_view()
+        nodes_df["type"] = "tampered"
+        assert application.frame_view()[0]["type"].values != nodes_df["type"].values
+
+    def test_views_follow_sync_state(self):
+        application = TrafficAnalysisApplication.with_size(12, 15)
+        summary = application.graph_summary()
+        updated = application.graph.copy()
+        updated.add_node("new", address="1.2.3.4", type="tampered", name="new")
+        application.sync_state(updated, query="add a node")
+        assert application.graph_summary() != summary
+        assert "13 nodes" in application.graph_summary()
+        assert application.networkx_view().nodes["new"]["type"] == "tampered"
+        nodes_df, _ = application.frame_view()
+        assert "new" in nodes_df["id"].values
+        assert application.sql_view().execute(
+            "SELECT COUNT(*) FROM nodes WHERE type = 'tampered'").scalar() == 1
+
+    def test_sweep_computes_stats_once(self, small_benchmark_config, monkeypatch):
+        calls = []
+        original = application_module.compute_stats
+
+        def counting(graph, *args, **kwargs):
+            calls.append(graph)
+            return original(graph, *args, **kwargs)
+
+        monkeypatch.setattr(application_module, "compute_stats", counting)
+        clear_worker_contexts()  # no application left memoized by another test
+        report = BenchmarkRunner(small_benchmark_config).run_application("malt")
+        assert len(report.logger.records) > 1
+        assert len(calls) == 1
 
 
 class TestMaltSchema:

@@ -375,3 +375,26 @@ class TestBenchmarkRunner:
         assert all(row["cached"] is True for row in dumped)
         assert [r.passed for r in first.logger.records] \
             == [r.passed for r in second.logger.records]
+
+
+#: sha256 of the JSON list of (query, model, backend, passed, failure_stage)
+#: rows of one gpt-4 sweep at the default (paper-scale) configuration; a view
+#: or graph-diff shortcut that flips any verdict changes the digest
+PINNED_VERDICT_DIGESTS = {
+    "traffic_analysis": (96, "cb693ccfc8e84745f61260be6c981fb8"
+                             "bac9b8cb34e17dad8667d1ea1e05fdf3"),
+    "malt": (27, "9627e81b76bd7c6199ec920c2971c892"
+                 "bd2d3a3dc3b685571b7072689e5a4e55"),
+}
+
+
+@pytest.mark.parametrize("application", sorted(PINNED_VERDICT_DIGESTS))
+def test_gpt4_verdicts_are_pinned(application):
+    import hashlib
+    import json
+
+    report = BenchmarkRunner().run_application(application, models=["gpt-4"])
+    rows = [[record.query_id, record.model, record.backend, record.passed,
+             record.failure_stage] for record in report.logger.records]
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert (len(rows), digest) == PINNED_VERDICT_DIGESTS[application]

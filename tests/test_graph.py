@@ -1,5 +1,7 @@
 """Tests for the property-graph substrate (model, diff, serialization, stats, convert)."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,7 +23,8 @@ from repro.graph import (
     to_sql_database,
 )
 from repro.graph.convert import from_frames, from_sql_database
-from repro.graph.diff import ABSENT
+from repro.graph import diff as diff_module
+from repro.graph.diff import ABSENT, values_equal
 from repro.graph.stats import degree_histogram, top_nodes_by_weight
 from repro.utils.validation import ValidationError
 
@@ -124,6 +127,25 @@ class TestPropertyGraphBasics:
         assert graph.has_edge("b", "a")
         assert graph.edge_count == 1
 
+    def test_edge_count_directed_counts_each_orientation(self):
+        graph = build_sample()
+        graph.add_edge("c", "c", bytes=1)
+        assert graph.edge_count == len(graph.edges()) == 4
+
+    def test_edge_count_undirected_without_self_loops(self):
+        graph = PropertyGraph(directed=False)
+        for source, target in (("a", "b"), ("b", "c"), ("c", "a"), ("b", "a")):
+            graph.add_edge(source, target)
+        assert graph.edge_count == len(graph.edges()) == 3
+
+    def test_edge_count_undirected_with_self_loops(self):
+        graph = PropertyGraph(directed=False)
+        for source, target in (("a", "b"), ("a", "a"), ("b", "c"), ("c", "c")):
+            graph.add_edge(source, target)
+        assert graph.edge_count == len(graph.edges()) == 4
+        graph.remove_edge("a", "a")
+        assert graph.edge_count == len(graph.edges()) == 3
+
     def test_equality_uses_structure(self):
         graph = build_sample()
         assert graph == build_sample()
@@ -192,12 +214,86 @@ class TestGraphDiff:
         assert ABSENT == ABSENT
         assert ABSENT != "<absent>"
 
+    def test_untouched_nan_attribute_round_trips_as_identical(self):
+        # regression: values_equal(x, x) was False for a NaN x, so a graph
+        # holding a NaN "differed" from its own untouched round trip and a
+        # correct read-only cell failed at compare
+        graph = build_sample()
+        graph.set_node_attribute("a", "load", math.nan)
+        assert values_equal(graph.node_attributes("a")["load"],
+                            graph.node_attributes("a")["load"])
+        assert diff_graphs(graph, from_networkx(to_networkx(graph))).is_empty
+        # the full comparison agrees, not just the unchanged-graph shortcut
+        changed = from_networkx(to_networkx(graph))
+        changed.add_node("d")
+        diff = diff_graphs(graph, changed)
+        assert diff.extra_nodes == ["d"]
+        assert not diff.node_attribute_mismatches
+
+    def test_distinct_nan_objects_still_differ(self):
+        left = build_sample()
+        right = build_sample()
+        left.set_node_attribute("a", "load", float("nan"))
+        right.set_node_attribute("a", "load", float("nan"))
+        assert not graphs_equal(left, right)
+
     def test_matching_literal_absent_strings_still_equal(self):
         left = build_sample()
         right = build_sample()
         left.set_node_attribute("a", "marker", "<absent>")
         right.set_node_attribute("a", "marker", "<absent>")
         assert graphs_equal(left, right)
+
+
+def _undirected(order):
+    graph = PropertyGraph("ring", directed=False)
+    for node_id in order:
+        graph.add_node(node_id)
+    graph.add_edge("a", "b", weight=1)
+    graph.add_edge("b", "c", weight=2)
+    return graph
+
+
+def _changed(change):
+    graph = build_sample()
+    change(graph)
+    return graph
+
+
+#: (left, right, whether the graphs are equal) for every diff category
+_DIFF_CASES = {
+    "identical": (build_sample, build_sample, True),
+    "missing node": (build_sample, lambda: _changed(lambda g: g.remove_node("c")), False),
+    "extra node": (build_sample, lambda: _changed(lambda g: g.add_node("d")), False),
+    "missing edge": (build_sample, lambda: _changed(lambda g: g.remove_edge("b", "c")),
+                     False),
+    "extra edge": (build_sample, lambda: _changed(lambda g: g.add_edge("c", "a")), False),
+    "float within tolerance": (
+        lambda: _changed(lambda g: g.set_edge_attribute("a", "b", "load", 0.5)),
+        lambda: _changed(lambda g: g.set_edge_attribute("a", "b", "load", 0.5 + 1e-12)),
+        True),
+    "float beyond tolerance": (
+        lambda: _changed(lambda g: g.set_edge_attribute("a", "b", "load", 0.5)),
+        lambda: _changed(lambda g: g.set_edge_attribute("a", "b", "load", 0.5001)),
+        False),
+    "tuple vs list": (
+        lambda: _changed(lambda g: g.set_node_attribute("a", "ports", (1, 2))),
+        lambda: _changed(lambda g: g.set_node_attribute("a", "ports", [1, 2])),
+        True),
+    "undirected, other node order": (lambda: _undirected("abc"),
+                                     lambda: _undirected("cba"), False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DIFF_CASES))
+def test_diff_shortcut_agrees_with_full_comparison(case, monkeypatch):
+    make_left, make_right, equal = _DIFF_CASES[case]
+    left, right = make_left(), make_right()
+    shortcut = diff_graphs(left, right)
+    monkeypatch.setattr(diff_module, "_same_adjacency", lambda *_: False)
+    full = diff_graphs(left, right)
+    assert shortcut == full
+    assert full.is_empty is equal
 
 
 class TestSerialization:
