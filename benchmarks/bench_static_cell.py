@@ -10,8 +10,10 @@ Each cell is split into the stages of the static answer path:
 * ``view`` — ``networkx_view`` / ``frame_view`` / ``sql_view``;
 * ``execute`` — ``ExecutionSandbox.execute``, or ``Database.execute`` per
   SQL statement;
-* ``round_trip`` — rebuilding the updated graph from the backend's state
-  (``from_networkx`` / ``from_frames`` / ``from_sql_database``);
+* ``round_trip`` — reading the updated graph back from the backend's state
+  (``read_networkx_view`` / ``read_frame_view`` / ``read_sql_view``: a
+  ``from_*`` conversion, or the shared unwritten graph when the cell wrote
+  nothing);
 * ``diff`` — ``diff_graphs`` in the evaluator;
 * ``total`` — the whole ``run_query`` call.
 
@@ -89,8 +91,8 @@ class StaticStageTimer(StageTimer):
             self._time(application.NetworkApplication, view, "view")
         self._time(ExecutionSandbox, "execute", "execute")
         self._time(Database, "execute", "execute")
-        for rebuild in ("from_networkx", "from_frames", "from_sql_database"):
-            self._time(pipeline, rebuild, "round_trip")
+        for read_back in ("read_networkx_view", "read_frame_view", "read_sql_view"):
+            self._time(application.NetworkApplication, read_back, "round_trip")
         self._time(evaluator, "diff_graphs", "diff")
         for builder in COUNTED:
             self._count(application, builder)

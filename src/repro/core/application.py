@@ -12,15 +12,76 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from functools import partial
+from itertools import chain
+from operator import is_
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
+import networkx as nx
+
+from repro.frames import DataFrame
 from repro.graph import PropertyGraph, compute_stats
-from repro.graph.convert import frames_to_database, to_frames, to_networkx
+from repro.graph.convert import (
+    frames_to_database,
+    from_frames,
+    from_networkx,
+    from_sql_database,
+    to_frames,
+    to_networkx,
+)
+from repro.sqlengine import Database
 
 # sql_view builds on the memoized frames and never calls to_sql_database; it
 # stays importable here because perfbench's traced run wraps every view
 # builder at this module
 from repro.graph.convert import to_sql_database  # noqa: F401
+
+
+def _same_objects(left: Iterable[Any], right: Iterable[Any]) -> bool:
+    return all(map(is_, left, right))
+
+
+def _same_layout(left: Dict[Any, Any], right: Dict[Any, Any], depth: int) -> bool:
+    """True when *left* and *right* are equal nested dicts whose keys, down
+    to *depth* levels, and whose values below them are the same objects in
+    the same order.
+
+    A conversion that copies dicts but not what they hold passes; one that
+    reorders keys, or that stores an equal but distinct value (``1.0`` for
+    ``1``), does not.
+    """
+    if left != right:
+        return False
+    # equal dicts have equal sizes at every level, so the flattened levels line up
+    lefts, rights = [left], [right]
+    for level in range(1, depth + 1):
+        if not _same_objects(chain.from_iterable(lefts), chain.from_iterable(rights)):
+            return False
+        lefts = chain.from_iterable(map(dict.values, lefts))
+        rights = chain.from_iterable(map(dict.values, rights))
+        if level < depth:  # the dicts of the next level are read twice
+            lefts, rights = list(lefts), list(rights)
+    return _same_objects(lefts, rights)
+
+
+def _mirrors(nx_graph: Any, graph: PropertyGraph) -> bool:
+    """True when *nx_graph* holds exactly what ``to_networkx(graph)`` puts
+    in a new graph, in the same order."""
+    expected = dict(graph.graph_attributes, name=graph.name)
+    return (type(nx_graph) is (nx.DiGraph if graph.directed else nx.Graph)
+            and _same_layout(nx_graph.graph, expected, 1)
+            and _same_layout(nx_graph._node, graph._nodes, 2)
+            and _same_layout(nx_graph._adj, graph._succ, 3))
+
+
+def _same_cells(frame: Any, frozen: DataFrame) -> bool:
+    """True when *frame* has *frozen*'s columns, in order, holding the same
+    objects in every cell."""
+    columns = frozen.columns
+    return (type(frame) is DataFrame and frame.columns == columns
+            and len(frame) == len(frozen)
+            and all(_same_objects(frame[column].values, frozen[column].values)
+                    for column in columns))
 
 
 @dataclass
@@ -70,6 +131,11 @@ class NetworkApplication(abc.ABC):
     The current graph must therefore never be mutated in place; every view
     handed out is a fresh, writable structure, so a query cannot leak its
     edits into the next one.
+
+    Reading a view back (``read_*_view``) returns the graph the view's state
+    converts to.  For a view the query wrote nothing to, that graph is built
+    once per current graph and shares the current graph's storage, so it
+    is one object for every such query and must not be mutated either.
     """
 
     #: short machine-readable identifier ("traffic_analysis", "malt")
@@ -120,6 +186,58 @@ class NetworkApplication(abc.ABC):
     def sql_view(self):
         """The state as an in-memory SQL database (SQL backend input)."""
         return frames_to_database(*self._frames(), self._graph.name)
+
+    def read_networkx_view(self, nx_graph) -> PropertyGraph:
+        """The graph a :meth:`networkx_view` holds after a query ran on it."""
+        convert = partial(from_networkx, nx_graph)
+        if _mirrors(nx_graph, self._graph):
+            return self._unwritten_read_back("networkx", convert)
+        return convert()
+
+    def read_frame_view(self, node_frame: DataFrame, edge_frame: DataFrame) -> PropertyGraph:
+        """The graph a :meth:`frame_view` holds after a query ran on it."""
+        convert = partial(from_frames, node_frame, edge_frame,
+                          directed=self._graph.directed)
+        if all(map(_same_cells, (node_frame, edge_frame), self._frames())):
+            return self._unwritten_read_back("frames", convert)
+        return convert()
+
+    def read_sql_view(self, database: Database) -> PropertyGraph:
+        """The graph a :meth:`sql_view` holds after a query ran on it."""
+        convert = partial(from_sql_database, database, directed=self._graph.directed)
+        if not database.written:
+            return self._unwritten_read_back("sql", convert)
+        return convert()
+
+    def _unwritten_read_back(self, view: str,
+                             convert: Callable[[], PropertyGraph]) -> PropertyGraph:
+        """``convert()`` for a *view* the query did not write.
+
+        Every unwritten view of one kind converts to the same graph, so it
+        is converted once per current graph, and then shares the current
+        graph's nodes and successors, and one set of predecessor rows in the
+        order the conversions store them (source-major).  When the
+        conversion changes the nodes or successors (``from_frames`` drops
+        ``None`` attributes and orders each node's attributes by column)
+        nothing is shared, and every query converts its view.
+        """
+        def share(rebuilt: PropertyGraph) -> Optional[PropertyGraph]:
+            graph = self._graph
+            if not (_same_layout(rebuilt._nodes, graph._nodes, 2)
+                    and _same_layout(rebuilt._succ, graph._succ, 3)):
+                return None
+            # most rows are in conversion order already (one predecessor)
+            pred = self._memoized("predecessors", lambda: {
+                target: graph._pred[target] if _same_layout(sources, graph._pred[target], 2)
+                else {source: graph._succ[source][target] for source in sources}
+                for target, sources in rebuilt._pred.items()})
+            if not _same_layout(rebuilt._pred, pred, 3):
+                return None
+            rebuilt._nodes, rebuilt._succ, rebuilt._pred = graph._nodes, graph._succ, pred
+            return rebuilt
+
+        shared = self._memoized(f"read back {view}", lambda: share(convert()))
+        return convert() if shared is None else shared
 
     # ------------------------------------------------------------------
     # description for prompt generation

@@ -17,7 +17,6 @@ from repro.core.application import NetworkApplication
 from repro.core.codeblocks import extract_python_code, extract_sql_code
 from repro.core.prompts import PromptBundle, build_prompt
 from repro.graph import PropertyGraph
-from repro.graph.convert import from_frames, from_networkx, from_sql_database
 from repro.llm.base import LlmProvider, LlmRequest, LlmResponse, TokenLimitExceeded
 from repro.sandbox import ExecutionOutcome, ExecutionSandbox
 from repro.sqlengine import SqlError
@@ -45,6 +44,8 @@ class PipelineResult:
     code: str = ""
     execution: Optional[ExecutionOutcome] = None
     result_value: Any = None
+    #: the state the code left in its view; when it wrote nothing this is
+    #: shared with the application (see ``NetworkApplication``), so read-only
     updated_graph: Optional[PropertyGraph] = None
     error_stage: Optional[str] = None    # "prompt", "llm", "extract", "execute"
     error_message: Optional[str] = None
@@ -129,11 +130,10 @@ class NetworkManagementPipeline:
             return
         result.result_value = outcome.result
         if self.backend == "networkx":
-            result.updated_graph = from_networkx(outcome.namespace["G"])
+            result.updated_graph = self.application.read_networkx_view(outcome.namespace["G"])
         else:
-            result.updated_graph = from_frames(outcome.namespace["nodes_df"],
-                                               outcome.namespace["edges_df"],
-                                               directed=self.application.graph.directed)
+            result.updated_graph = self.application.read_frame_view(
+                outcome.namespace["nodes_df"], outcome.namespace["edges_df"])
 
     def _execute_sql(self, result: PipelineResult) -> None:
         database = self.application.sql_view()
@@ -152,8 +152,7 @@ class NetworkManagementPipeline:
             return
         result.execution = ExecutionOutcome(success=True, result=last_result)
         result.result_value = last_result
-        result.updated_graph = from_sql_database(
-            database, directed=self.application.graph.directed)
+        result.updated_graph = self.application.read_sql_view(database)
 
     def _interpret_strawman(self, result: PipelineResult) -> None:
         """Parse the strawman's direct answer (JSON value and/or graph)."""

@@ -13,7 +13,8 @@ code for every backend runs on exactly the same underlying network state.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from itertools import repeat
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
@@ -28,6 +29,47 @@ EDGE_TARGET_COLUMN = "target"
 
 
 # ---------------------------------------------------------------------------
+# storage shared by every conversion
+# ---------------------------------------------------------------------------
+def _store(nodes: Dict, succ: Dict, pred: Dict, directed: bool,
+           node_items: Iterable[Tuple[Any, Dict[str, Any]]],
+           edge_items: Iterable[Tuple[Any, Any, Dict[str, Any]]]) -> None:
+    """Store nodes and edges, in order, into node/successor/predecessor dicts
+    exactly as per-element ``add_node``/``add_edge`` calls would.
+
+    Both :class:`PropertyGraph` and networkx keep this layout, so every
+    conversion fills the target's dicts through here instead of calling a
+    method per element: a repeated node or edge merges its attributes into
+    the first one, an edge creates missing endpoints, and an undirected edge
+    is stored under both endpoints (pass ``pred=succ`` for ``nx.Graph``).
+    The attribute dicts given are stored as they are, so they must be fresh.
+    """
+    for node_id, attrs in node_items:
+        if node_id in nodes:
+            nodes[node_id].update(attrs)
+        else:
+            nodes[node_id] = attrs
+            succ[node_id] = {}
+            pred[node_id] = {}
+    for source, target, attrs in edge_items:
+        if source not in nodes or target not in nodes:
+            for end in (source, target):
+                if end not in nodes:
+                    nodes[end] = {}
+                    succ[end] = {}
+                    pred[end] = {}
+        row = succ[source]
+        if target in row:
+            row[target].update(attrs)
+            continue
+        row[target] = attrs
+        pred[target][source] = attrs
+        if not directed:
+            succ[target][source] = attrs
+            pred[source][target] = attrs
+
+
+# ---------------------------------------------------------------------------
 # NetworkX
 # ---------------------------------------------------------------------------
 def to_networkx(graph: PropertyGraph, force_directed: bool = False):
@@ -38,13 +80,15 @@ def to_networkx(graph: PropertyGraph, force_directed: bool = False):
     timeline-aware synthesis namespace, where snapshot diffs are defined
     over raw stored tuples.
     """
-    nx_graph = nx.DiGraph() if (graph.directed or force_directed) else nx.Graph()
+    directed = graph.directed or force_directed
+    nx_graph = nx.DiGraph() if directed else nx.Graph()
     nx_graph.graph.update(graph.graph_attributes)
     nx_graph.graph["name"] = graph.name
-    for node_id, attrs in graph.nodes(data=True):
-        nx_graph.add_node(node_id, **dict(attrs))
-    for source, target, attrs in graph.edges(data=True):
-        nx_graph.add_edge(source, target, **dict(attrs))
+    _store(nx_graph._node, nx_graph._adj, nx_graph._pred if directed else nx_graph._adj,
+           directed,
+           ((node_id, dict(attrs)) for node_id, attrs in graph._nodes.items()),
+           ((source, target, dict(attrs))
+            for source, target, attrs in graph.edges(data=True)))
     return nx_graph
 
 
@@ -54,10 +98,10 @@ def from_networkx(nx_graph) -> PropertyGraph:
     graph = PropertyGraph(name=nx_graph.graph.get("name", "graph"), directed=directed)
     graph.graph_attributes.update(
         {k: v for k, v in nx_graph.graph.items() if k != "name"})
-    for node_id, attrs in nx_graph.nodes(data=True):
-        graph.add_node(node_id, **dict(attrs))
-    for source, target, attrs in nx_graph.edges(data=True):
-        graph.add_edge(source, target, **dict(attrs))
+    _store(graph._nodes, graph._succ, graph._pred, directed,
+           ((node_id, dict(attrs)) for node_id, attrs in nx_graph.nodes(data=True)),
+           ((source, target, dict(attrs))
+            for source, target, attrs in nx_graph.edges(data=True)))
     return graph
 
 
@@ -104,21 +148,38 @@ def to_frames(graph: PropertyGraph) -> Tuple[DataFrame, DataFrame]:
     return node_frame, edge_frame
 
 
+def _records(columns: List[str], rows: Iterable[Sequence[Any]]) -> Iterator[Dict[str, Any]]:
+    """One ``{column: value}`` dict per row of values in column order."""
+    return map(dict, map(zip, repeat(columns), rows))
+
+
+def _graph_from_records(node_records: Iterable[Dict[str, Any]],
+                        edge_records: Iterable[Dict[str, Any]],
+                        name: str, directed: bool) -> PropertyGraph:
+    """The graph whose nodes and edges are the given fresh records, in order,
+    with ``None``-valued attributes left out."""
+    def without_none(record: Dict[str, Any]) -> Dict[str, Any]:
+        if None in record.values():
+            return {k: v for k, v in record.items() if v is not None}
+        return record
+
+    graph = PropertyGraph(name=name, directed=directed)
+    _store(graph._nodes, graph._succ, graph._pred, directed,
+           ((record.pop(NODE_ID_COLUMN), without_none(record)) for record in node_records),
+           ((record.pop(EDGE_SOURCE_COLUMN), record.pop(EDGE_TARGET_COLUMN),
+             without_none(record)) for record in edge_records))
+    return graph
+
+
 def from_frames(node_frame: DataFrame, edge_frame: DataFrame,
                 name: str = "graph", directed: bool = True) -> PropertyGraph:
     """Rebuild a graph from node/edge frames produced by :func:`to_frames`."""
-    graph = PropertyGraph(name=name, directed=directed)
-    for _, record in node_frame.iterrows():
-        node_id = record[NODE_ID_COLUMN]
-        attrs = {k: v for k, v in record.items() if k != NODE_ID_COLUMN and v is not None}
-        graph.add_node(node_id, **attrs)
-    for _, record in edge_frame.iterrows():
-        source = record[EDGE_SOURCE_COLUMN]
-        target = record[EDGE_TARGET_COLUMN]
-        attrs = {k: v for k, v in record.items()
-                 if k not in (EDGE_SOURCE_COLUMN, EDGE_TARGET_COLUMN) and v is not None}
-        graph.add_edge(source, target, **attrs)
-    return graph
+    def records(frame: DataFrame) -> Iterator[Dict[str, Any]]:
+        columns = frame.columns
+        return _records(columns, zip(*(frame[column].values for column in columns)))
+
+    return _graph_from_records(records(node_frame), records(edge_frame),
+                               name=name, directed=directed)
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +205,9 @@ def frames_to_database(node_frame: DataFrame, edge_frame: DataFrame,
 def from_sql_database(database: Database, name: str = "graph",
                       directed: bool = True) -> PropertyGraph:
     """Rebuild a graph from a database produced by :func:`to_sql_database`."""
-    node_table = database.table("nodes")
-    edge_table = database.table("edges")
-    node_frame = DataFrame.from_records(node_table.rows, columns=node_table.columns)
-    edge_frame = DataFrame.from_records(edge_table.rows, columns=edge_table.columns)
-    return from_frames(node_frame, edge_frame, name=name, directed=directed)
+    def records(table: Table) -> Iterator[Dict[str, Any]]:
+        return _records(table.columns, table.row_values())
+
+    return _graph_from_records(records(database.table("nodes")),
+                               records(database.table("edges")),
+                               name=name, directed=directed)

@@ -11,32 +11,55 @@ Row = Dict[str, Any]
 
 
 class Table:
-    """A named table: an ordered list of rows sharing a column schema."""
+    """A named table: an ordered list of rows sharing a column schema.
+
+    Every row holds exactly the table's columns, in column order.  A table
+    made :meth:`from_columns` keeps the column lists and builds its row
+    dicts only when :attr:`rows` is first read, which a ``SELECT`` does
+    not do (it reads :meth:`row_values`); every write reads it.
+    """
 
     def __init__(self, name: str, columns: Sequence[str],
                  rows: Optional[Iterable[Row]] = None) -> None:
         self.name = name
         self.columns: List[str] = [str(c) for c in columns]
-        self.rows: List[Row] = []
+        self._rows: List[Row] = []
+        #: the column lists, in column order, until the row dicts are built
+        self._column_values: Optional[List[Sequence[Any]]] = None
         if rows:
             for row in rows:
                 self.insert(row)
 
     @classmethod
     def from_columns(cls, name: str, columns: Mapping[str, Sequence[Any]]) -> "Table":
-        """A table of equally long column lists, one row dict per position.
+        """A table of equally long column lists, one row per position.
 
         The column names are the schema, so this skips the per-row
-        :meth:`insert` check the row constructor makes.
+        :meth:`insert` check the row constructor makes.  The lists are
+        never changed, so they may be shared.
         """
         table = cls(name, list(columns))
         lengths = {len(values) for values in columns.values()}
         if len(lengths) > 1:
             raise SqlExecutionError(
                 f"table {name!r} columns have differing lengths: {sorted(lengths)}")
-        names = table.columns
-        table.rows = [dict(zip(names, row)) for row in zip(*columns.values())]
+        table._column_values = list(columns.values())
         return table
+
+    @property
+    def rows(self) -> List[Row]:
+        """The rows as ``{column: value}`` dicts, in table order."""
+        if self._column_values is not None:
+            self._rows = [dict(zip(self.columns, values))
+                          for values in zip(*self._column_values)]
+            self._column_values = None
+        return self._rows
+
+    def row_values(self) -> Iterator[Sequence[Any]]:
+        """Each row's values in column order, without building row dicts."""
+        if self._column_values is not None:
+            return zip(*self._column_values)
+        return (list(map(row.get, self.columns)) for row in self._rows)
 
     def insert(self, row: Row) -> None:
         """Insert a row; unknown columns are rejected, missing ones become NULL."""
@@ -48,7 +71,9 @@ class Table:
         self.rows.append({column: row.get(column) for column in self.columns})
 
     def __len__(self) -> int:
-        return len(self.rows)
+        if self._column_values is not None:
+            return len(self._column_values[0]) if self._column_values else 0
+        return len(self._rows)
 
     def __iter__(self) -> Iterator[Row]:
         return iter(self.rows)
@@ -115,6 +140,8 @@ class Database:
     def __init__(self, name: str = "network") -> None:
         self.name = name
         self._tables: Dict[str, Table] = {}
+        #: whether an INSERT, UPDATE or DELETE ran, even one that changed no row
+        self.written = False
 
     def create_table(self, name: str, columns: Sequence[str],
                      rows: Optional[Iterable[Row]] = None) -> Table:

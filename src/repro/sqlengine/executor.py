@@ -41,15 +41,16 @@ def execute_statement(database: Database, statement: Statement) -> Optional[Resu
     if isinstance(statement, SelectStatement):
         return _execute_select(database, statement)
     if isinstance(statement, InsertStatement):
-        _execute_insert(database, statement)
-        return None
-    if isinstance(statement, UpdateStatement):
-        _execute_update(database, statement)
-        return None
-    if isinstance(statement, DeleteStatement):
-        _execute_delete(database, statement)
-        return None
-    raise SqlExecutionError(f"unsupported statement type {type(statement).__name__}")
+        write = _execute_insert
+    elif isinstance(statement, UpdateStatement):
+        write = _execute_update
+    elif isinstance(statement, DeleteStatement):
+        write = _execute_delete
+    else:
+        raise SqlExecutionError(f"unsupported statement type {type(statement).__name__}")
+    database.written = True
+    write(database, statement)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -58,12 +59,13 @@ def execute_statement(database: Database, statement: Statement) -> Optional[Resu
 def _rows_for_table(table: Table, ref: TableRef) -> List[Row]:
     """Produce rows keyed both by bare column name and by qualified name."""
     alias = ref.effective_name
+    names = [(column, f"{alias}.{column}") for column in table.columns]
     rows = []
-    for source_row in table.rows:
+    for values in table.row_values():
         row: Row = {}
-        for column, value in source_row.items():
+        for (column, qualified), value in zip(names, values):
             row[column] = value
-            row[f"{alias}.{column}"] = value
+            row[qualified] = value
         rows.append(row)
     return rows
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.benchmark import BenchmarkConfig
+from repro.graph import PropertyGraph
 from repro.malt import MaltApplication, MaltTopologyConfig
 from repro.traffic import CommunicationGraphConfig, TrafficAnalysisApplication
 
@@ -30,3 +31,35 @@ def malt_app() -> MaltApplication:
 def small_benchmark_config() -> BenchmarkConfig:
     """Benchmark configuration that uses the small MALT topology."""
     return BenchmarkConfig(malt_config=SMALL_MALT_CONFIG)
+
+
+def _storage_layout(graph) -> str:
+    """Everything a :class:`PropertyGraph` or networkx graph stores, in
+    storage order and with value types (``repr``), plus whether each edge's
+    successor and predecessor entries are one dict."""
+    if isinstance(graph, PropertyGraph):
+        head = (graph.name, graph.directed, graph.graph_attributes)
+        nodes, succ, pred = graph._nodes, graph._succ, graph._pred
+    else:
+        head = (type(graph).__name__, graph.graph)
+        nodes, succ = graph._node, graph._adj
+        pred = graph._pred if graph.is_directed() else graph._adj
+    shared = all(pred[target][source] is attrs
+                 for source, row in succ.items() for target, attrs in row.items())
+    return repr((head, [(n, list(a.items())) for n, a in nodes.items()],
+                 [(u, [(v, list(a.items())) for v, a in row.items()])
+                  for u, row in succ.items()],
+                 [(v, list(row)) for v, row in pred.items()], shared))
+
+
+@pytest.fixture(scope="session")
+def storage_layout():
+    """``storage_layout(graph)``: a graph's storage as one comparable string."""
+    return _storage_layout
+
+
+@pytest.fixture(scope="session")
+def corpus_applications():
+    """The benchmark's two applications at their default (paper) scale."""
+    config = BenchmarkConfig()
+    return {"traffic": config.traffic_application(), "malt": config.malt_application()}

@@ -9,7 +9,8 @@ from repro.core import application as application_module
 from repro.core.application import ApplicationContext
 from repro.exec import clear_worker_contexts
 from repro.frames import FrameError
-from repro.graph import graphs_equal
+from repro.graph import PropertyGraph, diff_graphs, from_networkx, graphs_equal
+from repro.graph.convert import from_frames, from_sql_database
 from repro.llm.base import LlmProvider
 from repro.malt import (
     EntityKind,
@@ -279,6 +280,115 @@ class TestStaticViewIsolation:
         report = BenchmarkRunner(small_benchmark_config).run_application("malt")
         assert len(report.logger.records) > 1
         assert len(calls) == 1
+
+
+def _read_backs(application):
+    """backend -> (an untouched view read back by the application, the full
+    conversion of that view)."""
+    directed = application.graph.directed
+    nx_graph = application.networkx_view()
+    frames = application.frame_view()
+    database = application.sql_view()
+    return {
+        "networkx": (application.read_networkx_view(nx_graph), from_networkx(nx_graph)),
+        "pandas": (application.read_frame_view(*frames),
+                   from_frames(*frames, directed=directed)),
+        "sql": (application.read_sql_view(database),
+                from_sql_database(database, directed=directed)),
+    }
+
+
+def _undirected_application():
+    graph = PropertyGraph("loops", directed=False)
+    for node_id in ("a", "b", "c"):
+        graph.add_node(node_id, type="host")
+    graph.add_edge("c", "b", bytes=1)
+    graph.add_edge("c", "a", bytes=2)
+    graph.add_edge("b", "b", bytes=3)
+    return TrafficAnalysisApplication(graph)
+
+
+def _application_with_none_attribute():
+    graph = TrafficAnalysisApplication.with_size(12, 15).graph.copy()
+    graph.set_node_attribute(graph.nodes()[0], "note", None)
+    return TrafficAnalysisApplication(graph)
+
+
+#: name -> (backend, code block language, a cell that writes to its view)
+_WRITING_CELLS = {
+    "networkx-new-attribute": ("networkx", "python",
+                               "G.nodes[list(G.nodes)[0]]['x'] = 1\nresult = 0"),
+    "networkx-equal-float": ("networkx", "python",
+                             "u, v = list(G.edges)[0]\n"
+                             "G.edges[u, v]['bytes'] = float(G.edges[u, v]['bytes'])\n"
+                             "result = 0"),
+    "pandas-new-column": ("pandas", "python", "nodes_df['x'] = 1\nresult = 0"),
+    "pandas-equal-floats": ("pandas", "python",
+                            "edges_df['bytes'] = [float(b) for b in edges_df['bytes']]\n"
+                            "result = 0"),
+    "sql-update": ("sql", "sql", "UPDATE nodes SET type = 'x'"),
+    "sql-update-no-row": ("sql", "sql", "UPDATE nodes SET type = 'x' WHERE id = 'none'"),
+    "sql-delete-no-row": ("sql", "sql", "DELETE FROM edges WHERE bytes < 0"),
+}
+
+
+class TestUnwrittenReadBack:
+    """A view the query did not write reads back as the graph its full
+    conversion yields, built once per graph and sharing its storage."""
+
+    @pytest.mark.parametrize("name", ["traffic", "malt"])
+    def test_skip_yields_the_full_conversion(self, corpus_applications, name,
+                                             storage_layout):
+        application = corpus_applications[name]
+        first = _read_backs(application)
+        for backend, (read_back, converted) in first.items():
+            assert read_back._nodes is application.graph._nodes, backend
+            assert read_back._succ is application.graph._succ, backend
+            assert storage_layout(read_back) == storage_layout(converted), backend
+            assert diff_graphs(application.graph, read_back).is_empty
+        second = _read_backs(application)
+        assert all(second[backend][0] is first[backend][0] for backend in first)
+
+    @pytest.mark.parametrize("make", [_application_with_none_attribute,
+                                      _undirected_application])
+    def test_other_graphs_read_back_as_converted(self, make, storage_layout):
+        application = make()
+        for backend, (read_back, converted) in _read_backs(application).items():
+            assert storage_layout(read_back) == storage_layout(converted), backend
+
+    def test_none_attribute_takes_the_round_trip(self):
+        application = _application_with_none_attribute()
+        first = application.graph.nodes()[0]
+        for backend in ("pandas", "sql"):
+            read_back, _ = _read_backs(application)[backend]
+            assert read_back._nodes is not application.graph._nodes, backend
+            assert "note" not in read_back.node_attributes(first), backend
+
+    @pytest.mark.parametrize("cell", sorted(_WRITING_CELLS))
+    def test_writing_cell_takes_the_round_trip(self, cell):
+        application = TrafficAnalysisApplication.with_size(12, 15)
+        _read_backs(application)  # the unwritten read-backs exist already
+        backend, language, code = _WRITING_CELLS[cell]
+        result = NetworkManagementPipeline(
+            application, _ScriptedProvider(language, code), backend).run_query("write")
+        assert result.succeeded, result.error_message
+        updated = result.updated_graph
+        assert updated._nodes is not application.graph._nodes
+        edge = application.graph.edges()[0]
+        if cell.endswith("equal-float") or cell.endswith("equal-floats"):
+            assert type(updated.edge_attributes(*edge)["bytes"]) is float
+        elif cell.endswith("no-row"):
+            assert graphs_equal(application.graph, updated)
+        else:
+            assert not graphs_equal(application.graph, updated)
+
+    def test_sql_update_does_not_reach_the_next_view(self):
+        application = TrafficAnalysisApplication.with_size(12, 15)
+        pipeline = NetworkManagementPipeline(
+            application, _ScriptedProvider("sql", "UPDATE nodes SET type = 'x'"), "sql")
+        assert pipeline.run_query("write").succeeded
+        assert application.sql_view().execute(
+            "SELECT COUNT(*) FROM nodes WHERE type = 'x'").scalar() == 0
 
 
 class TestMaltSchema:

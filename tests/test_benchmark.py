@@ -398,3 +398,20 @@ def test_gpt4_verdicts_are_pinned(application):
              record.failure_stage] for record in report.logger.records]
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert (len(rows), digest) == PINNED_VERDICT_DIGESTS[application]
+
+
+#: sha256 of everything ``repro benchmark --application all`` prints (Tables
+#: 2-5 for all four models, both applications, and the NetworkX error-type
+#: table), recorded before the bulk graph conversions: a change to any verdict,
+#: cost or token count changes it
+PINNED_TABLES_DIGEST = "0c3ab2a82dca2ab467170cc73d66a5f3e165588c71240cca108d0a9079ab5c1d"
+
+
+def test_rendered_tables_are_pinned(capsys):
+    import hashlib
+
+    from repro.cli.main import main
+
+    assert main(["benchmark", "--application", "all", "--no-cache", "--no-ledger"]) == 0
+    rendered = capsys.readouterr().out
+    assert hashlib.sha256(rendered.encode()).hexdigest() == PINNED_TABLES_DIGEST

@@ -2,6 +2,7 @@
 
 import math
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -357,6 +358,118 @@ class TestConversions:
         database = to_sql_database(graph)
         assert database.table("nodes").columns[0] == "id"
         assert graphs_equal(graph, from_sql_database(database))
+
+
+# ---------------------------------------------------------------------------
+# bulk conversions: the same graphs, in the same order, as per-element builds
+# ---------------------------------------------------------------------------
+def _per_element_to_networkx(graph, force_directed=False):
+    nx_graph = nx.DiGraph() if (graph.directed or force_directed) else nx.Graph()
+    nx_graph.graph.update(graph.graph_attributes)
+    nx_graph.graph["name"] = graph.name
+    for node_id, attrs in graph.nodes(data=True):
+        nx_graph.add_node(node_id, **dict(attrs))
+    for source, target, attrs in graph.edges(data=True):
+        nx_graph.add_edge(source, target, **dict(attrs))
+    return nx_graph
+
+
+def _per_element_from_networkx(nx_graph):
+    graph = PropertyGraph(name=nx_graph.graph.get("name", "graph"),
+                          directed=nx_graph.is_directed())
+    graph.graph_attributes.update(
+        {k: v for k, v in nx_graph.graph.items() if k != "name"})
+    for node_id, attrs in nx_graph.nodes(data=True):
+        graph.add_node(node_id, **dict(attrs))
+    for source, target, attrs in nx_graph.edges(data=True):
+        graph.add_edge(source, target, **dict(attrs))
+    return graph
+
+
+def _per_element_from_frames(node_frame, edge_frame, name="graph", directed=True):
+    graph = PropertyGraph(name=name, directed=directed)
+    for _, record in node_frame.iterrows():
+        node_id = record["id"]
+        graph.add_node(node_id, **{k: v for k, v in record.items()
+                                   if k != "id" and v is not None})
+    for _, record in edge_frame.iterrows():
+        source, target = record["source"], record["target"]
+        graph.add_edge(source, target, **{k: v for k, v in record.items()
+                                          if k not in ("source", "target")
+                                          and v is not None})
+    return graph
+
+
+def _per_element_from_sql_database(database, name="graph", directed=True):
+    frames = [DataFrame.from_records(table.rows, columns=table.columns)
+              for table in (database.table("nodes"), database.table("edges"))]
+    return _per_element_from_frames(*frames, name=name, directed=directed)
+
+
+def _undirected_with_self_loop():
+    # stored edge orientation and adjacency order differ from the edges() walk
+    graph = PropertyGraph("loops", directed=False)
+    graph.graph_attributes["seed"] = 3
+    for node_id in ("a", "b", "c", "d"):
+        graph.add_node(node_id, weight=len(node_id), label=None)
+    graph.add_edge("c", "b", bytes=1)
+    graph.add_edge("c", "a", bytes=2.5)
+    graph.add_edge("c", "c", bytes=3)
+    graph.add_edge("d", "a", bytes=4, kind="x")
+    return graph
+
+
+@pytest.fixture(scope="module")
+def layout_graphs(corpus_applications):
+    return {"traffic": corpus_applications["traffic"].graph,
+            "malt": corpus_applications["malt"].graph,
+            "sample": build_sample(),
+            "undirected": _undirected_with_self_loop()}
+
+
+class TestBulkConversions:
+    """Each conversion stores what per-element ``add_node``/``add_edge``
+    calls stored, in the same node, successor and predecessor order."""
+
+    @pytest.mark.parametrize("name", ["traffic", "malt", "sample", "undirected"])
+    def test_networkx_both_ways(self, layout_graphs, name, storage_layout):
+        graph = layout_graphs[name]
+        for force_directed in (False, True):
+            nx_graph = to_networkx(graph, force_directed=force_directed)
+            assert storage_layout(nx_graph) == storage_layout(
+                _per_element_to_networkx(graph, force_directed=force_directed))
+            assert storage_layout(from_networkx(nx_graph)) \
+                == storage_layout(_per_element_from_networkx(nx_graph))
+
+    @pytest.mark.parametrize("name", ["traffic", "malt", "sample", "undirected"])
+    def test_frames_and_sql(self, layout_graphs, name, storage_layout):
+        graph = layout_graphs[name]
+        frames = to_frames(graph)
+        assert storage_layout(from_frames(*frames, directed=graph.directed)) \
+            == storage_layout(_per_element_from_frames(*frames, directed=graph.directed))
+        database = to_sql_database(graph)
+        assert storage_layout(from_sql_database(database, name="db", directed=graph.directed)) \
+            == storage_layout(_per_element_from_sql_database(database, name="db",
+                                                      directed=graph.directed))
+
+    def test_rows_that_repeat_or_dangle(self, storage_layout):
+        """Repeated node and edge rows merge into the first; an edge to an
+        unlisted node creates it; a reversed undirected edge merges too."""
+        nodes = DataFrame({"id": ["a", "b", "a"], "kind": ["x", None, None],
+                           "size": [1, 2, 3]})
+        edges = DataFrame({"source": ["a", "a", "b", "z"],
+                           "target": ["b", "b", "a", "a"],
+                           "bytes": [1, None, 7, 2]})
+        for directed in (True, False):
+            assert storage_layout(from_frames(nodes, edges, directed=directed)) \
+                == storage_layout(_per_element_from_frames(nodes, edges, directed=directed))
+
+    def test_missing_id_column_fails_as_before(self):
+        nodes = DataFrame({"name": ["a"]})
+        edges = DataFrame({"source": [], "target": []})
+        for build in (from_frames, _per_element_from_frames):
+            with pytest.raises(KeyError, match="id"):
+                build(nodes, edges)
 
 
 # ---------------------------------------------------------------------------

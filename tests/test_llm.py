@@ -35,6 +35,13 @@ class TestTokenizer:
     def test_empty_string(self):
         assert count_tokens("") == 0
 
+    @given(st.text(min_size=0, max_size=500)
+           | st.text(alphabet="abcdefghIJKLMé日 \t\n0٣.{}\"", max_size=200))
+    @settings(max_examples=200, deadline=None)
+    def test_count_is_the_number_of_tokens(self, text):
+        tokenizer = ApproximateTokenizer()
+        assert tokenizer.count(text) == len(tokenizer.tokenize(text))
+
     @given(st.text(min_size=0, max_size=500))
     @settings(max_examples=50, deadline=None)
     def test_count_is_non_negative_and_bounded(self, text):

@@ -225,6 +225,18 @@ class TestMutationStatements:
         database.execute("DELETE FROM edges")
         assert len(database.table("edges")) == 0
 
+    @pytest.mark.parametrize("statement", [
+        "INSERT INTO nodes (id) VALUES ('d')",
+        "UPDATE nodes SET capacity = 1 WHERE id = 'none'",
+        "DELETE FROM edges WHERE bytes < 0",
+    ])
+    def test_writes_are_recorded_even_when_no_row_changes(self, statement):
+        database = sample_database()
+        database.execute("SELECT * FROM nodes JOIN edges ON nodes.id = edges.source")
+        assert not database.written
+        database.execute(statement)
+        assert database.written
+
 
 class TestDatabaseApi:
     def test_duplicate_table_rejected(self):
