@@ -1,10 +1,15 @@
-"""Warm answer path — per-stage milliseconds per query, per codegen backend.
+"""Warm answer path — per-stage milliseconds per query, per temporal backend.
 
-Not a paper artifact: this bench tracks what one *warm* temporal codegen
-answer costs, the way ``repro serve`` answers it (serial in-process
-``repro.api.answer_queries``, worker contexts kept across calls), split into
-the stages of the answer path:
+Not a paper artifact: this bench tracks what one *warm* temporal answer
+costs, the way ``repro serve`` answers it (serial in-process
+``repro.api.answer_queries``, worker contexts kept across calls), on the
+``direct`` backend and both codegen backends, split into the stages of the
+answer path.  Every stage is reported per request (its total time over the
+run divided by the number of requests), not per call:
 
+* ``request`` — everything ``answer_queries`` does before its tasks run:
+  scenario lookup, query resolution, task build, and the task-set
+  validation ``run_tasks`` starts with;
 * ``namespace`` — ``repro.synthesis.temporal.timeline_namespace``;
 * ``validate_compile`` — ``validate_source`` plus ``compile`` as the sandbox
   calls them (only cache misses reach them on a tree that caches code);
@@ -49,13 +54,16 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from helpers import RESULTS_DIR  # noqa: E402
 
 RESULTS_PATH = RESULTS_DIR / "warm_path.json"
+#: backends whose warm answers are staged; the namespace curve covers the
+#: codegen ones
+STAGE_BACKENDS = ("direct", "networkx", "frames")
 BACKENDS = ("networkx", "frames")
 FAT_TREE_KS = (4, 8, 12, 16, 20, 24)
 #: timed passes over the temporal corpus per backend
 ROUNDS = 20
 #: timed repeats per namespace-curve point
 REPEATS = 7
-STAGES = ("namespace", "validate_compile", "exec", "evaluate", "total")
+STAGES = ("request", "namespace", "validate_compile", "exec", "evaluate", "total")
 
 
 class StageTimer:
@@ -65,6 +73,9 @@ class StageTimer:
     def __init__(self) -> None:
         self.seconds: Dict[str, float] = defaultdict(float)
         self._patches: List[tuple] = []
+        #: ``perf_counter`` at the start of the current ``answer_queries``
+        #: call, set by the caller; ``run_tasks`` closes the request stage
+        self.call_started = 0.0
 
     def _wrap(self, owner: Any, attribute: str, stage: str,
               original: Callable) -> None:
@@ -80,10 +91,25 @@ class StageTimer:
         self._patches.append((owner, attribute, vars(owner).get(attribute)))
         setattr(owner, attribute, timed)
 
+    def _end_request_stage(self, owner: Any, attribute: str) -> None:
+        original = getattr(owner, attribute)
+
+        def entered(*args, **kwargs):
+            self.seconds["request"] += time.perf_counter() - self.call_started
+            return original(*args, **kwargs)
+
+        self._patches.append((owner, attribute, vars(owner).get(attribute)))
+        setattr(owner, attribute, entered)
+
     def install(self) -> "StageTimer":
+        from repro import api
         from repro.benchmark import evaluator
+        from repro.exec.task import TaskSet
         from repro.sandbox import executor
         from repro.synthesis import temporal
+
+        self._end_request_stage(api, "run_tasks")
+        self._wrap(TaskSet, "validate", "request", TaskSet.validate)
 
         self._wrap(temporal, "timeline_namespace", "namespace",
                    temporal.timeline_namespace)
@@ -128,7 +154,7 @@ def warm_stage_costs(rounds: int) -> Dict[str, Dict[str, float]]:
     from repro.exec import ExecutorPolicy, clear_worker_contexts
 
     costs = {}
-    for backend in BACKENDS:
+    for backend in STAGE_BACKENDS:
         requests = _requests(backend)
         policy = ExecutorPolicy.serial(keep_contexts=True)
         clear_worker_contexts()
@@ -139,7 +165,7 @@ def warm_stage_costs(rounds: int) -> Dict[str, Dict[str, float]]:
             try:
                 for _ in range(rounds):
                     for request in requests:
-                        start = time.perf_counter()
+                        start = timer.call_started = time.perf_counter()
                         answer_queries([request], policy=policy)
                         timer.seconds["total"] += time.perf_counter() - start
             finally:
@@ -148,7 +174,8 @@ def warm_stage_costs(rounds: int) -> Dict[str, Dict[str, float]]:
             clear_worker_contexts()
         queries = rounds * len(requests)
         seconds = dict(timer.seconds)
-        seconds["exec"] = seconds.pop("execute") - seconds.get("validate_compile", 0.0)
+        seconds["exec"] = (seconds.pop("execute", 0.0)
+                           - seconds.get("validate_compile", 0.0))
         costs[backend] = {stage: round(1000.0 * seconds.get(stage, 0.0) / queries, 4)
                           for stage in STAGES}
         costs[backend]["queries"] = queries
@@ -218,6 +245,7 @@ def test_warm_path(benchmark):
 
     for backend, stages in entry["stages_ms_per_query"].items():
         assert stages["total"] > 0, backend
+        assert 0 < stages["request"] < stages["total"], (backend, stages)
         assert stages["namespace"] < stages["total"], (backend, stages)
     largest = entry["namespace_curve"][-1]
     for backend in BACKENDS:

@@ -133,7 +133,11 @@ def resolve_query(spec, query: str) -> Union[BenchmarkQuery, TemporalQuery]:
     temporal queries targeting the scenario, so one resolver serves both
     answering paths.
     """
-    spec = load_scenario(spec)
+    return _resolve_query(load_scenario(spec), query)
+
+
+def _resolve_query(spec, query: str) -> Union[BenchmarkQuery, TemporalQuery]:
+    """:func:`resolve_query` for an already-resolved *spec*."""
     candidates: List[Union[BenchmarkQuery, TemporalQuery]] = list(
         queries_for(_static_corpus_name(spec))) + list(
         temporal_queries_for(spec.name))
@@ -209,21 +213,28 @@ class QueryAnswer:
 # ---------------------------------------------------------------------------
 # the answer cell worker
 # ---------------------------------------------------------------------------
-def _api_cell_task(spec, resolved, model: str, backend: str,
+def _api_cell_task(record, resolved, model: str, backend: str,
                    config_payload: Dict[str, Any]) -> Task:
+    """One answer cell over a :class:`~repro.scenarios.registry.ScenarioRecord`.
+
+    The payload shares the record's spec dict (workers never edit payloads)
+    and, for temporal cells, carries its hash as ``spec_hash``.
+    """
+    name = record.spec.name
     kind = "temporal" if isinstance(resolved, TemporalQuery) else "static"
     if kind == "temporal":
         payload = {"kind": kind, "config": config_payload,
-                   "spec": spec.to_dict(), "query_id": resolved.query_id,
+                   "spec": record.spec_dict, "spec_hash": record.spec_hash,
+                   "query_id": resolved.query_id,
                    "model": model, "backend": backend}
-        group = f"temporal/{spec.name}"
+        group = f"temporal/{name}"
     else:
         payload = {"kind": kind, "config": config_payload,
-                   "app": {"kind": "scenario", "spec": spec.to_dict()},
+                   "app": {"kind": "scenario", "spec": record.spec_dict},
                    "backend": backend, "query_id": resolved.query_id,
                    "model": model}
-        group = f"api/scenario/{spec.name}"
-    return Task(key=f"api/{spec.name}/{kind}/{backend}/{resolved.query_id}/{model}",
+        group = f"api/scenario/{name}"
+    return Task(key=f"api/{name}/{kind}/{backend}/{resolved.query_id}/{model}",
                 fn=API_CELL_WORKER, payload=payload, group=group)
 
 
@@ -250,8 +261,7 @@ def _golden_answer_temporal(payload: Dict[str, Any]) -> Any:
     from repro.benchmark.queries import temporal_query_by_id
     from repro.benchmark.tasks import _replay_timeline
 
-    spec_hash = stable_hash(payload["spec"])
-    timeline = worker_context(("scenario-timeline", spec_hash),
+    timeline = worker_context(("scenario-timeline", payload["spec_hash"]),
                               lambda: _replay_timeline(payload["spec"]))
     selector = worker_context(("temporal-golden-selector",), TemporalGoldenSelector)
     query = temporal_query_by_id(payload["query_id"])
@@ -301,6 +311,16 @@ def _validate_backend(resolved, backend: str) -> None:
         require_in(backend, STATIC_BACKENDS, "backend")
 
 
+def _scenario_record(scenario):
+    """The registry record of a scenario name; a spec object gets a record
+    of its own, so the caller's spec is never shared with a task."""
+    from repro.scenarios.registry import ScenarioRecord, scenario_record
+
+    if isinstance(scenario, str):
+        return scenario_record(scenario)
+    return ScenarioRecord.of(load_scenario(scenario))
+
+
 def answer_queries(requests: Sequence[QuerySpec],
                    policy: Optional[ExecutorPolicy] = None,
                    config: Optional[BenchmarkConfig] = None) -> List[QueryAnswer]:
@@ -321,15 +341,16 @@ def answer_queries(requests: Sequence[QuerySpec],
     keys: List[str] = []
     resolved_by_key: Dict[str, Any] = {}
     for request in requests:
-        spec = load_scenario(request.scenario)
-        resolved = resolve_query(spec, request.query)
+        record = _scenario_record(request.scenario)
+        resolved = _resolve_query(record.spec, request.query)
         backend = request.backend or _default_backend(resolved)
         _validate_backend(resolved, backend)
-        task = _api_cell_task(spec, resolved, request.model, backend,
+        task = _api_cell_task(record, resolved, request.model, backend,
                               config_payload)
         if task.key not in resolved_by_key:
             task_set.add(task)
-            resolved_by_key[task.key] = (spec, resolved, request.model, backend)
+            resolved_by_key[task.key] = (record.spec.name, resolved,
+                                         request.model, backend)
         keys.append(task.key)
 
     report = run_tasks(task_set, policy=policy)
@@ -338,11 +359,11 @@ def answer_queries(requests: Sequence[QuerySpec],
     answers: List[QueryAnswer] = []
     for key in keys:
         result = results[key]
-        spec, resolved, model, backend = resolved_by_key[key]
+        scenario, resolved, model, backend = resolved_by_key[key]
         value = result.value
         record: EvaluationRecord = value["record"]
         answers.append(QueryAnswer(
-            scenario=spec.name,
+            scenario=scenario,
             query_id=resolved.query_id,
             query_text=resolved.text,
             kind="temporal" if isinstance(resolved, TemporalQuery) else "static",

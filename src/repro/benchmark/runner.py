@@ -522,7 +522,7 @@ class BenchmarkRunner:
         """
         from repro.llm.calibration import TEMPORAL_BACKENDS
         from repro.scenarios.engine import replay_scenario
-        from repro.scenarios.registry import get_scenario
+        from repro.scenarios.registry import scenario_record
         from repro.utils.validation import require_in
 
         scenarios = list(scenarios or temporal_scenario_names())
@@ -540,20 +540,19 @@ class BenchmarkRunner:
             config_payload = self.config.to_payload()
             task_set = TaskSet(name="benchmark/temporal")
             for scenario in scenarios:
-                spec = get_scenario(scenario)
+                registered = scenario_record(scenario)
                 queries = temporal_queries_for(scenario)
                 require(bool(queries),
                         f"no temporal queries target scenario {scenario!r}; "
                         f"temporal scenarios: {temporal_scenario_names()}")
-                timeline = replay_scenario(spec)
+                timeline = replay_scenario(registered.spec)
                 report.snapshots[scenario] = [
                     (snapshot.time, snapshot.digest) for snapshot in timeline.snapshots]
-                spec_dict = spec.to_dict()
                 for query in queries:
                     for model in models:
                         for backend in backends:
                             task_set.add(temporal_cell_task(
-                                config_payload, spec_dict, query.query_id, model,
+                                config_payload, registered, query.query_id, model,
                                 backend))
             for record in self._dispatch(task_set):
                 report.logger.log(record)

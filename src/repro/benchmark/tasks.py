@@ -78,11 +78,14 @@ def _build_application(config_payload: Dict[str, Any], app_context: Dict[str, An
 # ---------------------------------------------------------------------------
 # temporal cells
 # ---------------------------------------------------------------------------
-def temporal_cell_task(config_payload: Dict[str, Any], spec_dict: Dict[str, Any],
-                       query_id: str, model: str,
-                       backend: str = "direct") -> Task:
+def temporal_cell_task(config_payload: Dict[str, Any], record, query_id: str,
+                       model: str, backend: str = "direct") -> Task:
     """Describe one temporal-accuracy cell as a fabric task.
 
+    *record* is the scenario's
+    :class:`~repro.scenarios.registry.ScenarioRecord`: the payload carries
+    its spec dict as ``spec`` and the dict's hash as ``spec_hash``, which
+    keys every per-scenario worker context, so no cell re-hashes its spec.
     *backend* selects the answering path: ``direct`` (answer straight from
     the replayed timeline) or a timeline-aware codegen backend
     (``frames``/``networkx``) whose emitted program runs in the sandbox.
@@ -90,13 +93,14 @@ def temporal_cell_task(config_payload: Dict[str, Any], spec_dict: Dict[str, Any]
     temporal cells cross process boundaries and participate in the
     content-keyed result cache exactly like static benchmark cells.
     """
-    scenario = spec_dict["name"]
+    scenario = record.spec.name
     return Task(
         key=f"bench/temporal/{scenario}/{backend}/{query_id}/{model}",
         fn=TEMPORAL_CELL_WORKER,
         payload={
             "config": config_payload,
-            "spec": spec_dict,
+            "spec": record.spec_dict,
+            "spec_hash": record.spec_hash,
             "query_id": query_id,
             "model": model,
             "backend": backend,
@@ -180,12 +184,12 @@ def _stale_answer(timeline, query, golden_value: Any) -> Any:
 
 
 def _faulty_temporal_program(timeline, query, backend: str, golden_value: Any,
-                             engine, calibration, model: str):
+                             engine, preferred: str):
     """The (code, fault label) a failing codegen model emits.
 
-    The fault type is drawn from the calibration table and honoured where
-    the intent's shape allows (mis-anchoring needs a bound time parameter);
-    data-level faults escalate deterministically until the broken program's
+    The *preferred* fault type (drawn from the calibration table) is
+    honoured where the intent's shape allows (mis-anchoring needs a bound
+    time parameter); data-level faults escalate deterministically until the broken program's
     answer actually *differs* from the golden (a mis-anchored program that
     lands on the truth is not a failure), trying the other data fault next
     and falling back to a crashing program — which always fails — when no
@@ -197,7 +201,6 @@ def _faulty_temporal_program(timeline, query, backend: str, golden_value: Any,
     from repro.synthesis.reference import evaluate_temporal_reference
 
     injector = TemporalFaultInjector()
-    preferred = calibration.temporal_fault_type_for(query.query_id, model, backend)
     attempts = {
         TemporalFaultType.MISANCHORED_SNAPSHOT.value: (
             TemporalFaultType.MISANCHORED_SNAPSHOT.value,
@@ -253,7 +256,7 @@ def run_temporal_cell(payload: Dict[str, Any]):
     from repro.llm.calibration import CalibrationTable, DEFAULT_CALIBRATION
 
     backend = payload.get("backend", "direct")
-    spec_hash = stable_hash(payload["spec"])
+    spec_hash = payload["spec_hash"]
     timeline = worker_context(
         ("scenario-timeline", spec_hash),
         lambda: _replay_timeline(payload["spec"]))
@@ -284,9 +287,14 @@ def run_temporal_cell(payload: Dict[str, Any]):
     }
     evaluator = ResultsEvaluator()
 
+    # a failing model's output is a function of (timeline, query) — and,
+    # for codegen, of the backend and the preferred fault type — since the
+    # golden is; it is memoized per process like the timeline.  The verdict
+    # never is: every request is evaluated afresh.
     if backend == "direct":
-        answer = (golden.value if intended_correct
-                  else _stale_answer(timeline, query, golden.value))
+        answer = golden.value if intended_correct else worker_context(
+            ("temporal-stale-answer", spec_hash, query.query_id),
+            lambda: _stale_answer(timeline, query, golden.value))
         with span("benchmark.evaluate", attrs={"query": query.query_id,
                                                "backend": backend}):
             return evaluator.evaluate_temporal(query, model, answer, golden,
@@ -306,8 +314,13 @@ def run_temporal_cell(payload: Dict[str, Any]):
     if intended_correct:
         code = engine.generate_temporal(query.intent, backend).code
     else:
-        code, fault_label = _faulty_temporal_program(
-            timeline, query, backend, golden.value, engine, calibration, model)
+        preferred = calibration.temporal_fault_type_for(query.query_id, model,
+                                                        backend)
+        code, fault_label = worker_context(
+            ("temporal-faulty-program", spec_hash, query.query_id, backend,
+             preferred),
+            lambda: _faulty_temporal_program(timeline, query, backend,
+                                             golden.value, engine, preferred))
         details["fault"] = fault_label
 
     # the programs come from the finite template table: cache their code

@@ -36,14 +36,18 @@ _SAFE_BUILTIN_NAMES = (
 )
 
 
+#: built once; every execution gets its own copy (see :func:`_safe_builtins`)
+_SAFE_BUILTINS: Dict[str, Any] = {name: getattr(builtins, name)
+                                  for name in _SAFE_BUILTIN_NAMES
+                                  if hasattr(builtins, name)}
+
+
 def _safe_builtins() -> Dict[str, Any]:
-    table: Dict[str, Any] = {}
-    for name in _SAFE_BUILTIN_NAMES:
-        if hasattr(builtins, name):
-            table[name] = getattr(builtins, name)
-    # a controlled __import__ that honours the sandbox policy is installed
-    # per-execution in ExecutionSandbox.execute
-    return table
+    """A fresh copy of the builtins table, so a program that edits its
+    builtins cannot affect the next one.  A controlled ``__import__`` that
+    honours the sandbox policy is installed per execution in
+    :meth:`ExecutionSandbox._execute`."""
+    return dict(_SAFE_BUILTINS)
 
 
 #: serializes ``ast.parse``/``compile``: CPython 3.11 can raise ``SystemError:

@@ -1,15 +1,19 @@
 """Named scenario registry.
 
 Ships a set of built-in scenarios — one per interesting failure story — and
-lets callers register their own.  Lookups return deep copies so that a
-caller mutating a spec (e.g. re-seeding it for a sweep) never corrupts the
-registry.
+lets callers register their own.  Each registration is kept as one read-only
+:class:`ScenarioRecord` (the private spec, its dict form and that dict's
+stable hash), built once when the spec is registered, so the warm answer
+path resolves a name without copying or re-hashing anything.
+:func:`get_scenario` returns deep copies so that a caller mutating a spec
+(e.g. re-seeding it for a sweep) never corrupts the registry.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import Dict, List
+from dataclasses import dataclass
+from typing import Any, Dict, List
 
 from repro.scenarios.events import (
     CapacityDegradationEvent,
@@ -23,7 +27,31 @@ from repro.scenarios.events import (
     TrafficSurgeEvent,
 )
 from repro.scenarios.spec import ScenarioSpec
+from repro.utils.hashing import stable_hash
 from repro.utils.validation import require
+
+
+@dataclass(frozen=True)
+class ScenarioRecord:
+    """One registered scenario: the spec, its dict form and its hash.
+
+    The three never change after :meth:`of` builds them, and nothing may
+    edit them: a caller that wants to change a spec takes
+    :func:`get_scenario`'s copy.  ``spec_dict`` is what temporal task
+    payloads carry as ``spec``; ``spec_hash`` (``stable_hash(spec_dict)``)
+    rides next to it and keys every per-scenario worker context.
+    """
+
+    spec: ScenarioSpec
+    spec_dict: Dict[str, Any]
+    spec_hash: int
+
+    @classmethod
+    def of(cls, spec: ScenarioSpec) -> "ScenarioRecord":
+        """The record of a private deep copy of *spec*."""
+        spec = copy.deepcopy(spec)
+        spec_dict = spec.to_dict()
+        return cls(spec=spec, spec_dict=spec_dict, spec_hash=stable_hash(spec_dict))
 
 
 def _builtin_specs() -> List[ScenarioSpec]:
@@ -188,7 +216,8 @@ def _builtin_specs() -> List[ScenarioSpec]:
     ]
 
 
-_REGISTRY: Dict[str, ScenarioSpec] = {spec.name: spec for spec in _builtin_specs()}
+_REGISTRY: Dict[str, ScenarioRecord] = {
+    spec.name: ScenarioRecord.of(spec) for spec in _builtin_specs()}
 
 
 def register_scenario(spec: ScenarioSpec, replace: bool = False) -> ScenarioSpec:
@@ -197,7 +226,7 @@ def register_scenario(spec: ScenarioSpec, replace: bool = False) -> ScenarioSpec
     require(replace or spec.name not in _REGISTRY,
             f"scenario {spec.name!r} is already registered "
             f"(pass replace=True to overwrite)")
-    _REGISTRY[spec.name] = copy.deepcopy(spec)
+    _REGISTRY[spec.name] = ScenarioRecord.of(spec)
     return spec
 
 
@@ -206,11 +235,16 @@ def scenario_names() -> List[str]:
     return sorted(_REGISTRY)
 
 
-def get_scenario(name: str) -> ScenarioSpec:
-    """Fetch a deep copy of a registered scenario."""
+def scenario_record(name: str) -> ScenarioRecord:
+    """The read-only record of a registered scenario (no copy is made)."""
     require(name in _REGISTRY,
             f"unknown scenario {name!r}; known scenarios: {scenario_names()}")
-    return copy.deepcopy(_REGISTRY[name])
+    return _REGISTRY[name]
+
+
+def get_scenario(name: str) -> ScenarioSpec:
+    """Fetch a deep copy of a registered scenario."""
+    return copy.deepcopy(scenario_record(name).spec)
 
 
 def builtin_scenarios() -> List[ScenarioSpec]:

@@ -148,6 +148,21 @@ class TestExecutionSandbox:
         outcome = sandbox.execute("answer = 7", {})
         assert outcome.result == 7
 
+    def test_each_execution_gets_its_own_builtins(self):
+        # a program run without static validation can edit its builtins;
+        # the edit must not reach the next program
+        sandbox = ExecutionSandbox()
+        first = sandbox.execute(
+            "table = __builtins__\ntable['len'] = None\ntable['leak'] = 1\n"
+            "result = table", {}, validate=False)
+        second = sandbox.execute("result = (__builtins__, len([1, 2]))", {},
+                                 validate=False)
+        assert first.success and second.success
+        table, length = second.result
+        assert table is not first.result
+        assert "leak" not in table
+        assert length == 2
+
 
 class TestCodeCache:
     def test_rejections_are_cached_and_reported_alike(self, monkeypatch):

@@ -24,6 +24,7 @@ from repro.cli import main
 from repro.exec import ExecutorPolicy, ResultCache
 from repro.exec.workers import clear_worker_contexts
 from repro.scenarios import get_scenario, replay_scenario
+from repro.scenarios.registry import ScenarioRecord, scenario_record
 from repro.synthesis.reference import (
     evaluate_temporal_reference,
     supported_temporal_intents,
@@ -201,12 +202,12 @@ class TestTemporalGoldenSelector:
 class TestTemporalCells:
     def test_payload_round_trips_and_worker_runs(self):
         config = BenchmarkConfig()
-        spec = get_scenario("fat-tree-failover")
-        task = temporal_cell_task(config.to_payload(), spec.to_dict(),
-                                  "tq-m1", "gpt-4")
+        record = ScenarioRecord.of(get_scenario("fat-tree-failover"))
+        task = temporal_cell_task(config.to_payload(), record, "tq-m1", "gpt-4")
         task.validate()          # payload must be canonical-JSON serializable
         assert task.digest() == temporal_cell_task(
-            config.to_payload(), spec.to_dict(), "tq-m1", "gpt-4").digest()
+            config.to_payload(), scenario_record("fat-tree-failover"),
+            "tq-m1", "gpt-4").digest()
         record = run_temporal_cell(task.payload)
         assert record.query_id == "tq-m1"
         assert record.backend == "direct"
@@ -220,10 +221,10 @@ class TestTemporalCells:
         # easy strawman reliability passes rank 0, but its hard strawman
         # reliability is zero, so every hard direct cell fails
         passing = run_temporal_cell(temporal_cell_task(
-            config.to_payload(), get_scenario("fat-tree-failover").to_dict(),
+            config.to_payload(), scenario_record("fat-tree-failover"),
             "tq-e1", "gpt-4").payload)
         failing = run_temporal_cell(temporal_cell_task(
-            config.to_payload(), get_scenario("manet-churn").to_dict(),
+            config.to_payload(), scenario_record("manet-churn"),
             "tq-h3", "gpt-4").payload)
         assert passing.passed and passing.details["intended_correct"]
         assert not failing.details["intended_correct"]

@@ -30,6 +30,7 @@ from repro.llm.calibration import (
 )
 from repro.llm.faults import TemporalFaultInjector, TemporalFaultType
 from repro.scenarios import get_scenario, replay_scenario
+from repro.scenarios.registry import scenario_record
 from repro.scenarios.engine import timeline_from_dict, timeline_to_dict
 from repro.synthesis import (
     TEMPORAL_CODE_BACKENDS,
@@ -245,12 +246,12 @@ class TestCodegenCalibration:
         # every backend's pass/fail must agree with the calibrated decision:
         # faults escalate until the emitted program's answer differs
         config = BenchmarkConfig()
-        spec = get_scenario("wan-conduit-cut")
+        scenario = scenario_record("wan-conduit-cut")
         for query_id in ("tq-e5", "tq-m5", "tq-h5"):
             for model in ("gpt-4", "bard"):
                 for backend in ("frames", "networkx"):
                     record = run_temporal_cell(temporal_cell_task(
-                        config.to_payload(), spec.to_dict(), query_id, model,
+                        config.to_payload(), scenario, query_id, model,
                         backend).payload)
                     assert record.passed == record.details["intended_correct"]
                     assert record.backend == backend
