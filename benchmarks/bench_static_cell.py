@@ -7,7 +7,8 @@ application and one runner per application per pass, and
 Each cell is split into the stages of the static answer path:
 
 * ``prompt`` — ``build_prompt`` (application context, graph summary, tokens);
-* ``view`` — ``networkx_view`` / ``frame_view`` / ``sql_view``;
+* ``view`` — ``networkx_view`` / ``frame_view`` / ``sql_view`` (a networkx
+  view is a new conversion, or the view an earlier cell left as new);
 * ``execute`` — ``ExecutionSandbox.execute``, or ``Database.execute`` per
   SQL statement;
 * ``round_trip`` — reading the updated graph back from the backend's state
@@ -164,6 +165,9 @@ def test_static_cell():
         builds = costs["builds_per_pass"]
         assert builds["compute_stats"] == builds["to_frames"] == 1, builds
         assert builds["to_sql_database"] == 0, builds
+    # a networkx view that a cell wrote nothing to goes to the next cell
+    malt = entry["stages_ms_per_cell"]["malt"]
+    assert malt["builds_per_pass"]["to_networkx"] < malt["networkx"]["cells"], malt
 
 
 def main(argv=None) -> int:

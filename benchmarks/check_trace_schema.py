@@ -1,6 +1,6 @@
 """CI observability smoke: validate exported trace and metrics JSON.
 
-``repro-nemo benchmark --trace OUT.json --metrics-out OUT.json`` promises
+``repro benchmark --trace OUT.json --metrics-out OUT.json`` promises
 two machine-readable artifacts:
 
 * a Chrome trace-event document (loadable at ``chrome://tracing`` or

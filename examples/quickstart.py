@@ -46,7 +46,7 @@ def main() -> None:
     print("The full NeMoEval corpus contains these queries (Table 1 of the paper):")
     for query in traffic_queries()[:6]:
         print(f"  [{query.complexity:>6}] {query.text}")
-    print("  ... (see `repro-nemo queries` for the complete list)")
+    print("  ... (see `repro queries` for the complete list)")
 
 
 if __name__ == "__main__":

@@ -27,7 +27,6 @@ setup(
     entry_points={
         "console_scripts": [
             "repro=repro.cli.main:main",
-            "repro-nemo=repro.cli.main:main",
         ],
     },
 )

@@ -150,7 +150,7 @@ def _resolve_query(spec, query: str) -> Union[BenchmarkQuery, TemporalQuery]:
             return candidate
     raise ValidationError(
         f"unknown query {query!r} for scenario {spec.name!r}: pass a corpus "
-        f"query id or the exact text of one (see 'repro-nemo queries')")
+        f"query id or the exact text of one (see 'repro queries')")
 
 
 # ---------------------------------------------------------------------------

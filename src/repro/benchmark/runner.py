@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.benchmark.evaluator import EvaluationRecord, ResultsEvaluator
 from repro.benchmark.goldens import GoldenAnswerSelector
@@ -48,6 +48,17 @@ from repro.utils.validation import require
 #: on traffic analysis, where the graph size can be kept inside the window)
 TRAFFIC_BACKENDS = ("strawman", "sql", "pandas", "networkx")
 MALT_BACKENDS = ("sql", "pandas", "networkx")
+
+
+def _plain(value: Any) -> bool:
+    """True when *value* is scalars (``None``, bool, number, str) in lists,
+    tuples, sets and dicts: the evaluator's normalized copy of it, which
+    copies every container, then refers to nothing else."""
+    if isinstance(value, (list, tuple, set, frozenset)):
+        return all(map(_plain, value))
+    if isinstance(value, dict):
+        return all(map(_plain, value)) and all(map(_plain, value.values()))
+    return value is None or type(value) in (bool, int, float, str)
 
 
 @dataclass
@@ -379,8 +390,13 @@ class BenchmarkRunner:
             pipeline_result = pipeline.run(request)
             with span("benchmark.evaluate", attrs={"query": query.query_id}):
                 golden = self.goldens.golden_for(query, application.graph)
-                return self.evaluator.evaluate(query, model, pipeline_result, golden,
-                                               application.graph)
+                record = self.evaluator.evaluate(query, model, pipeline_result, golden,
+                                                 application.graph)
+            # the record keeps normalized copies of the result, so a plain
+            # result leaves it nothing that refers into the view
+            if _plain(pipeline_result.result_value):
+                pipeline.recycle_view(pipeline_result)
+            return record
 
     # ------------------------------------------------------------------
     def run_application(self, application_name: str,

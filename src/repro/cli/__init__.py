@@ -1,4 +1,4 @@
-"""Command-line interface for the reproduction (``repro-nemo``)."""
+"""Command-line interface for the reproduction (``repro``)."""
 
 from repro.cli.main import main, build_parser
 

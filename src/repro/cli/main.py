@@ -1,4 +1,4 @@
-"""``repro-nemo`` — run queries, the benchmark, and the cost analysis.
+"""``repro`` — run queries, the benchmark, and the cost analysis.
 
 Sub-commands:
 
@@ -72,7 +72,7 @@ def _configure_logging(level_name: str) -> None:
 
     Tables, JSON specs, and results stay on stdout; everything narrating the
     run (fabric telemetry, "wrote X to Y" notes, debug detail) goes through
-    loggers so ``repro-nemo ... > out.txt`` captures only the data.
+    loggers so ``repro ... > out.txt`` captures only the data.
     """
     level = getattr(logging, level_name.upper(), None)
     if not isinstance(level, int):
@@ -214,7 +214,7 @@ def _print_fabric(run_report) -> None:
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser for the CLI."""
     parser = argparse.ArgumentParser(
-        prog="repro-nemo",
+        prog="repro",
         description="Natural-language network management via LLM-generated code "
                     "(HotNets 2023 reproduction).")
     parser.add_argument("--version", action="version",
@@ -721,7 +721,7 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
             logger.info("wrote graph to %s", args.json_path)
         return 0
 
-    print("usage: repro-nemo scenarios {list,describe,generate,lock} ...")
+    print("usage: repro scenarios {list,describe,generate,lock} ...")
     return 2
 
 
@@ -799,7 +799,7 @@ def _cmd_obs_ledger(args: argparse.Namespace) -> int:
     if args.ledger_action == "show":
         print(json.dumps(ledger.find(args.entry), indent=2, sort_keys=True))
         return 0
-    print("usage: repro-nemo obs ledger {list,show} ...")
+    print("usage: repro obs ledger {list,show} ...")
     return 2
 
 
@@ -879,7 +879,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         return _cmd_obs_diff(args)
     if args.obs_action == "ledger":
         return _cmd_obs_ledger(args)
-    print("usage: repro-nemo obs {report,diff,ledger} ...")
+    print("usage: repro obs {report,diff,ledger} ...")
     return 2
 
 

@@ -11,11 +11,13 @@ approves a state-changing query ("sync state" in the paper's figure).
 from __future__ import annotations
 
 import abc
+import threading
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from itertools import chain
 from operator import is_
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from weakref import WeakKeyDictionary
 
 import networkx as nx
 
@@ -74,6 +76,65 @@ def _mirrors(nx_graph: Any, graph: PropertyGraph) -> bool:
             and _same_layout(nx_graph._adj, graph._succ, 3))
 
 
+#: what a new networkx graph keeps in its ``__dict__``, in order
+_STORAGE = {kind: tuple(vars(kind())) for kind in (nx.Graph, nx.DiGraph)}
+
+#: guards the idle recycled networkx view and the records of handed-out ones
+_VIEW_LOCK = threading.Lock()
+_IDLE_VIEW = "idle networkx view"
+_VIEW_RECORDS = "networkx view records"
+
+
+def _stored_objects(nx_graph: Any) -> Tuple[List[Any], List[int]]:
+    """Every object *nx_graph* stores, in storage order: its storage
+    attributes, node dicts, successor rows and their dicts, and predecessor
+    rows with their keys and dicts (an undirected graph's successor rows
+    are its predecessor rows); and the lengths of its predecessor rows."""
+    state = vars(nx_graph)
+    adj = state["_adj"]
+    pred = state.get("_pred", adj)
+    objects = [*map(state.get, _STORAGE[type(nx_graph)]), *state["_node"].values(),
+               *adj.values(), *chain.from_iterable(map(dict.values, adj.values())),
+               *pred.values(), *pred, *chain.from_iterable(pred.values()),
+               *chain.from_iterable(map(dict.values, pred.values()))]
+    return objects, list(map(len, pred.values()))
+
+
+def _cached_by_networkx(nx_graph: Any, name: str, value: Any) -> bool:
+    """True when *value* is what the networkx ``cached_property`` *name* of
+    *nx_graph* computes: a view of the same type over the same objects."""
+    prop = getattr(type(nx_graph), name, None)
+    if not isinstance(prop, cached_property):
+        return False
+    fresh = prop.func(nx_graph)
+    if type(value) is not type(fresh):
+        return False
+    return _same_objects(value.__getstate__().values(), fresh.__getstate__().values())
+
+
+def _as_new(nx_graph: Any, record: Tuple[List[Any], List[int]]) -> bool:
+    """True when *nx_graph*, a view :func:`_mirrors` accepted, is as good as
+    the new ``to_networkx`` graph it was when *record* (its
+    :func:`_stored_objects`) was taken, once its attributes other than its
+    storage are deleted.
+
+    Checked here is what :func:`_mirrors` leaves out: the graph still stores
+    the very objects it stored then, in the same places and order, so no
+    row or dict was replaced, shared or reordered (predecessor rows
+    included); its ``__networkx_cache__`` is empty; and its other
+    attributes are networkx's own cached views.
+    """
+    state = vars(nx_graph)
+    storage = _STORAGE[type(nx_graph)]
+    if (state.get("__networkx_cache__")
+            or not all(_cached_by_networkx(nx_graph, name, value)
+                       for name, value in state.items() if name not in storage)):
+        return False
+    (objects, lengths), (recorded, recorded_lengths) = _stored_objects(nx_graph), record
+    # with the layout _mirrors checked, equal row lengths mean equal list lengths
+    return lengths == recorded_lengths and _same_objects(objects, recorded)
+
+
 def _same_cells(frame: Any, frozen: DataFrame) -> bool:
     """True when *frame* has *frozen*'s columns, in order, holding the same
     objects in every cell."""
@@ -129,13 +190,19 @@ class NetworkApplication(abc.ABC):
     The prompt summary and the frames are built once per current graph and
     reused by every query until :meth:`sync_state` installs a new graph.
     The current graph must therefore never be mutated in place; every view
-    handed out is a fresh, writable structure, so a query cannot leak its
-    edits into the next one.
+    handed out is a writable structure no one else holds, so a query cannot
+    leak its edits into the next one.
 
     Reading a view back (``read_*_view``) returns the graph the view's state
     converts to.  For a view the query wrote nothing to, that graph is built
     once per current graph and shares the current graph's storage, so it
     is one object for every such query and must not be mutated either.
+
+    A networkx view is the one view that costs a full conversion.  One that
+    its query left as new can be handed back (:meth:`recycle_networkx_view`)
+    by a caller that keeps nothing referring into it; it is then the next
+    :meth:`networkx_view`, taken by one caller only.  At most one view
+    waits, and :meth:`sync_state` drops it with the other entries.
     """
 
     #: short machine-readable identifier ("traffic_analysis", "malt")
@@ -155,8 +222,8 @@ class NetworkApplication(abc.ABC):
         """The current network state as a property graph."""
         return self._graph
 
-    def _memoized(self, name: str, build: Callable[[], Any]) -> Any:
-        """The entry *name* for the current graph, built on first use.
+    def _entries(self) -> Dict[str, Any]:
+        """The memo entries of the current graph.
 
         Entries are keyed on the identity of the current graph, so replacing
         it (:meth:`sync_state`) drops them all.
@@ -165,6 +232,11 @@ class NetworkApplication(abc.ABC):
         if graph is not self._graph:
             entries = {}
             self._memo = (self._graph, entries)
+        return entries
+
+    def _memoized(self, name: str, build: Callable[[], Any]) -> Any:
+        """The entry *name* for the current graph, built on first use."""
+        entries = self._entries()
         if name not in entries:
             entries[name] = build()
         return entries[name]
@@ -175,8 +247,46 @@ class NetworkApplication(abc.ABC):
             frame.freeze() for frame in to_frames(self._graph)))
 
     def networkx_view(self):
-        """The state as a ``networkx`` graph (NetworkX backend input)."""
-        return to_networkx(self._graph)
+        """The state as a ``networkx`` graph (NetworkX backend input): the
+        idle recycled view when there is one, else a new conversion."""
+        entries = self._entries()
+        with _VIEW_LOCK:
+            view = entries.pop(_IDLE_VIEW, None)
+        if view is None:
+            view = to_networkx(self._graph)
+            record = _stored_objects(view)
+            with _VIEW_LOCK:
+                entries.setdefault(_VIEW_RECORDS, WeakKeyDictionary())[view] = record
+        return view
+
+    def recycle_networkx_view(self, nx_graph, read_back: PropertyGraph) -> None:
+        """Keep *nx_graph*, a :meth:`networkx_view` a query has finished
+        with, for the next :meth:`networkx_view` call if it is as good as
+        new.
+
+        *read_back* is what :meth:`read_networkx_view` returned for it after
+        the query's program ran without error.  The view is kept only when
+        that is the shared unwritten graph (the query wrote nothing
+        :func:`_mirrors` sees) and the rest of the view is as it was handed
+        out too (:func:`_as_new`); otherwise it is dropped.  At most one
+        view is kept.  The caller gives the view up, together with
+        everything that refers into it (the program's result and
+        namespace): the next query may write to it.
+        """
+        entries = self._entries()
+        with _VIEW_LOCK:
+            record = entries.get(_VIEW_RECORDS, {}).get(nx_graph)
+        if record is None:  # not handed out for the current graph
+            return
+        keep = read_back is entries.get("read back networkx") and _as_new(nx_graph, record)
+        # networkx's cached views point back at the graph: without them, a
+        # dropped view is freed at once rather than by a full collection
+        state = vars(nx_graph)
+        for name in [name for name in state if name not in _STORAGE[type(nx_graph)]]:
+            del state[name]
+        if keep:
+            with _VIEW_LOCK:
+                entries.setdefault(_IDLE_VIEW, nx_graph)
 
     def frame_view(self):
         """The state as ``(node_frame, edge_frame)`` (pandas-style backend input)."""
@@ -271,6 +381,7 @@ class NetworkApplication(abc.ABC):
             "new_edges": updated_graph.edge_count,
         })
         self._graph = updated_graph
+        self._memo = (None, {})
 
     @property
     def history(self) -> List[Dict[str, Any]]:

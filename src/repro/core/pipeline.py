@@ -36,7 +36,14 @@ class QueryRequest:
 
 @dataclass
 class PipelineResult:
-    """Everything produced while answering one query."""
+    """Everything produced while answering one query.
+
+    With the networkx backend the code ran on the view left in
+    ``execution.namespace["G"]``, and ``result_value`` may refer into it.
+    The view is the result's own unless the result is given to
+    :meth:`NetworkManagementPipeline.recycle_view`, after which the next
+    query may write to it: neither it nor ``result_value`` may be used then.
+    """
 
     request: QueryRequest
     prompt: Optional[PromptBundle] = None
@@ -113,6 +120,15 @@ class NetworkManagementPipeline:
     def run_query(self, query: str, **metadata: Any) -> PipelineResult:
         """Convenience wrapper accepting a bare query string."""
         return self.run(QueryRequest(query=query, backend=self.backend, metadata=metadata))
+
+    def recycle_view(self, result: PipelineResult) -> None:
+        """Give the networkx view of *result*, which this pipeline produced,
+        back to the application for the next query
+        (:meth:`NetworkApplication.recycle_networkx_view`).  Only a view
+        whose code ran without error is offered."""
+        if self.backend == "networkx" and result.updated_graph is not None:
+            self.application.recycle_networkx_view(result.execution.namespace["G"],
+                                                   result.updated_graph)
 
     # ------------------------------------------------------------------
     def _execute_python(self, result: PipelineResult) -> None:

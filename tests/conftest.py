@@ -1,12 +1,19 @@
 """Shared fixtures for the test suite."""
 
+from pathlib import Path
+
 import pytest
 
+import repro
+from repro.analysis import analyze_tree, effects
+from repro.analysis.templates import clear_template_cache
 from repro.benchmark import BenchmarkConfig
 from repro.graph import PropertyGraph
 from repro.malt import MaltApplication, MaltTopologyConfig
 from repro.traffic import CommunicationGraphConfig, TrafficAnalysisApplication
 
+
+PACKAGE_ROOT = Path(repro.__file__).parent
 
 SMALL_MALT_CONFIG = MaltTopologyConfig(
     datacenters=1, pods_per_datacenter=2, racks_per_pod=2, chassis_per_rack=2,
@@ -63,3 +70,27 @@ def corpus_applications():
     """The benchmark's two applications at their default (paper) scale."""
     config = BenchmarkConfig()
     return {"traffic": config.traffic_application(), "malt": config.malt_application()}
+
+
+@pytest.fixture(scope="session")
+def live_project():
+    """The effect analysis of the live ``repro`` tree, built once."""
+    return effects.analyze_project(PACKAGE_ROOT)
+
+
+@pytest.fixture
+def live_effect_cache(live_project, monkeypatch):
+    """Analyses of the live tree (the CLI's included) reuse ``live_project``
+    instead of building their own."""
+    monkeypatch.setitem(effects._PROJECT_CACHE, (str(PACKAGE_ROOT.resolve()), None),
+                        live_project)
+
+
+@pytest.fixture(scope="session")
+def live_tree_findings(live_project):
+    """Every finding of every rule on the live tree, computed once."""
+    clear_template_cache()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(effects._PROJECT_CACHE, (str(PACKAGE_ROOT.resolve()), None),
+                      live_project)
+        return analyze_tree(PACKAGE_ROOT)

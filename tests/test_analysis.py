@@ -11,7 +11,6 @@ from repro.analysis import (
     SEVERITY_WARNING,
     all_rules,
     analyze_file,
-    analyze_tree,
     get_rules,
     has_errors,
     render_human,
@@ -83,9 +82,8 @@ class TestFixtureCorpus:
             bad, good = fixture_pair(rule.id)
             assert bad.exists() and good.exists()
 
-    def test_live_tree_is_clean(self):
-        clear_template_cache()
-        findings = analyze_tree(PACKAGE_ROOT)
+    def test_live_tree_is_clean(self, live_tree_findings):
+        findings = live_tree_findings
         assert findings == [], "\n".join(
             f"{f.path}:{f.line}: {f.rule_id}: {f.message}" for f in findings)
 
@@ -233,14 +231,14 @@ class TestTemplateValidation:
 
 
 class TestAnalyzeCli:
-    def test_analyze_clean_tree_exits_zero(self, capsys):
+    def test_analyze_clean_tree_exits_zero(self, capsys, live_effect_cache):
         from repro.cli.main import main
 
         clear_template_cache()
         assert main(["analyze", str(PACKAGE_ROOT)]) == 0
         assert "clean" in capsys.readouterr().out
 
-    def test_analyze_json_output(self, capsys):
+    def test_analyze_json_output(self, capsys, live_effect_cache):
         from repro.cli.main import main
 
         clear_template_cache()

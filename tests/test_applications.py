@@ -1,17 +1,26 @@
 """Tests for the traffic-analysis and MALT application substrates."""
 
+import gc
+import sys
+import threading
+import time
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.benchmark import BenchmarkRunner
+from repro.benchmark import runner as runner_module
+from repro.benchmark.queries import queries_for
 from repro.core import NetworkManagementPipeline
 from repro.core import application as application_module
 from repro.core.application import ApplicationContext
 from repro.exec import clear_worker_contexts
 from repro.frames import FrameError
 from repro.graph import PropertyGraph, diff_graphs, from_networkx, graphs_equal
-from repro.graph.convert import from_frames, from_sql_database
+from repro.graph.convert import from_frames, from_sql_database, to_networkx
 from repro.llm.base import LlmProvider
+from repro.sandbox import ExecutionSandbox, SandboxPolicy
 from repro.malt import (
     EntityKind,
     MaltTopologyConfig,
@@ -389,6 +398,222 @@ class TestUnwrittenReadBack:
         assert pipeline.run_query("write").succeeded
         assert application.sql_view().execute(
             "SELECT COUNT(*) FROM nodes WHERE type = 'x'").scalar() == 0
+
+
+def _undirected_mirrored_application():
+    """An undirected application whose graph stores its edges in the order
+    ``to_networkx`` does, so that an unwritten view of it mirrors it."""
+    return TrafficAnalysisApplication(
+        from_networkx(to_networkx(_undirected_application().graph)))
+
+
+def _networkx_cell(application, code, sandbox=None):
+    """Run *code* as a networkx cell and offer its view back for reuse:
+    ``(the view the cell left in G, the pipeline result)``."""
+    pipeline = NetworkManagementPipeline(
+        application, _ScriptedProvider("python", code), "networkx", sandbox=sandbox)
+    result = pipeline.run_query("cell")
+    view = result.execution.namespace.get("G")
+    pipeline.recycle_view(result)
+    return view, result
+
+
+#: a cell that fills every networkx cached view of G and writes nothing
+_READING_CELL = ("names = ['nodes', 'edges', 'adj', 'degree']\n"
+                 "if G.is_directed():\n"
+                 "    names += ['pred', 'succ', 'in_edges', 'out_edges', 'in_degree',\n"
+                 "              'out_degree']\n"
+                 "views = [getattr(G, name) for name in names]\n"
+                 "result = G.number_of_edges()")
+
+
+def _pred_reordering_edge(nx_graph):
+    """An edge last among its source's successors but not last among its
+    target's predecessors: removing and re-adding it reorders only _pred."""
+    return next((s, t) for s, t in nx_graph.edges
+                if list(nx_graph._adj[s])[-1] == t and list(nx_graph._pred[t])[-1] != s)
+
+
+def _consecutive_targets(nx_graph):
+    """Two targets next to each other in _pred, the second with a predecessor."""
+    targets = list(nx_graph._pred)
+    return next((t1, t2) for t1, t2 in zip(targets, targets[1:]) if nx_graph._pred[t2])
+
+
+def _empty(rows):
+    """Two nodes with empty rows."""
+    return [node for node, row in rows.items() if not row][:2]
+
+
+#: cells that leave their view unlike a new one, so that its next taker
+#: must get a new one: name -> (the code, or view -> the code; whether
+#: _mirrors misses it).  They run on a directed traffic application.
+_LEAKING_CELLS = {
+    "setattr": ("setattr(G, 'marker', 1)", True),
+    "cached-view-replaced": ("G.nodes = {}", True),
+    "cached-view-of-another-graph": ("G.nodes = G.subgraph([]).nodes", True),
+    "graph-key": ("G.graph['note'] = 1", False),
+    "attribute-write": ("u, v = list(G.edges)[0]\nG.edges[u, v]['bytes'] += 1", False),
+    "edge-re-added": (lambda g: "s, t = next(e for e in G.edges if e == {!r})\n"
+                                "attrs = dict(G.edges[s, t])\n"
+                                "G.remove_edge(s, t)\n"
+                                "G.add_edge(s, t, **attrs)".format(_pred_reordering_edge(g)),
+                      True),
+    "pred-entry-moved": (lambda g: "t1, t2 = {!r}\n"
+                                   "source = list(G._pred[t2])[0]\n"
+                                   "G._pred[t1][source] = G._pred[t2].pop(source)"
+                                   .format(_consecutive_targets(g)), True),
+    "pred-row-reordered": ("t = next(t for t, row in G._pred.items() if len(row) > 1)\n"
+                           "items = list(G._pred[t].items())\n"
+                           "G._pred[t].clear()\n"
+                           "G._pred[t].update(reversed(items))", True),
+    "pred-source-rekeyed": ("t = next(t for t, row in G._pred.items() if row)\n"
+                            "row = G._pred[t]\n"
+                            "other = next(n for n in G if n not in row and n != t)\n"
+                            "row[other] = row.pop(list(row)[-1])", True),
+    "pred-target-rekeyed": ("G._pred['ghost'] = G._pred.pop(list(G._pred)[-1])", True),
+    "pred-dict-copied": ("u, v = list(G.edges)[0]\nG._pred[v][u] = dict(G._pred[v][u])", True),
+    "adj-dict-copied": ("u, v = list(G.edges)[0]\nG._adj[u][v] = dict(G._adj[u][v])", True),
+    "succ-split": ("G._succ = dict(G._adj)", True),
+    "rows-shared": (lambda g: "a, b = {!r}\nG._adj[a] = G._adj[b]".format(_empty(g._adj)),
+                    True),
+    "pred-rows-shared": (lambda g: "a, b = {!r}\nG._pred[a] = G._pred[b]".format(
+        _empty(g._pred)), True),
+    "networkx-cache-entry": ("G.__networkx_cache__['x'] = 1", True),
+    "raises-after-writing": ("G.graph['note'] = 1\nraise ValueError('no')", False),
+    "rebound": ("G = G.copy()", True),
+}
+
+#: the same for an undirected application whose view mirrors it
+_LEAKING_UNDIRECTED_CELLS = {
+    "undirected-dict-split": ("G._adj['c']['b'] = dict(G._adj['c']['b'])", True),
+    "node-dicts-shared": ("G._node['a'] = G._node['b']", True),
+}
+
+
+class TestRecycledNetworkxView:
+    """A networkx view its cell left as new is handed to the next cell
+    instead of a new conversion; any other view is dropped."""
+
+    @pytest.mark.parametrize("name", ["traffic", "malt", "undirected"])
+    def test_recycled_view_equals_a_new_one(self, corpus_applications, name,
+                                            storage_layout):
+        application = (_undirected_mirrored_application() if name == "undirected"
+                       else corpus_applications[name])
+        view, result = _networkx_cell(application, _READING_CELL)
+        assert result.succeeded, result.error_message
+        recycled = application.networkx_view()
+        assert recycled is view
+        new = to_networkx(application.graph)
+        assert storage_layout(recycled) == storage_layout(new)
+        assert vars(recycled).keys() == vars(new).keys()
+        assert application.networkx_view() is not recycled
+
+    @pytest.mark.parametrize("cell", sorted(_LEAKING_CELLS) + sorted(_LEAKING_UNDIRECTED_CELLS))
+    def test_leaking_cell_gives_the_next_cell_a_new_view(self, cell, storage_layout):
+        if cell in _LEAKING_CELLS:
+            application = TrafficAnalysisApplication.with_size(12, 15)
+            code, mirrors_miss_it = _LEAKING_CELLS[cell]
+        else:
+            application = _undirected_mirrored_application()
+            code, mirrors_miss_it = _LEAKING_UNDIRECTED_CELLS[cell]
+        if callable(code):
+            code = code(to_networkx(application.graph))
+        _read_backs(application)  # the unwritten read-backs exist already
+        view, result = _networkx_cell(application, code + "\nresult = 0")
+        if mirrors_miss_it:  # read back as the shared unwritten graph
+            assert result.updated_graph._nodes is application.graph._nodes, cell
+        following = application.networkx_view()
+        assert following is not view
+        assert storage_layout(following) == storage_layout(to_networkx(application.graph))
+
+    def test_timed_out_cell_drops_its_view(self):
+        application = TrafficAnalysisApplication.with_size(12, 15)
+        code = ("total = 0\n"
+                "for step in range(3_000_000):\n"
+                "    total += step\n"
+                "G.graph['late'] = total\n"
+                "result = 0")
+        view, result = _networkx_cell(application, code,
+                                      ExecutionSandbox(SandboxPolicy(max_seconds=0.02)))
+        assert result.execution.error_type == "SandboxTimeout"
+        following = application.networkx_view()
+        deadline = time.monotonic() + 60
+        while "late" not in view.graph and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert "late" in view.graph
+        assert following is not view and "late" not in following.graph
+
+    def test_only_views_of_plain_results_go_back(self, monkeypatch):
+        application = TrafficAnalysisApplication.with_size(12, 15)
+        builds = []
+        original = application_module.to_networkx
+        monkeypatch.setattr(application_module, "to_networkx",
+                            lambda graph: builds.append(graph) or original(graph))
+        code = ["result = G.number_of_nodes()"]
+        monkeypatch.setattr(runner_module, "create_provider",
+                            lambda model, **_: _ScriptedProvider("python", code[0]))
+        runner, query = BenchmarkRunner(), queries_for("traffic_analysis")[0]
+        for _ in range(3):
+            runner.run_query(application, query, "gpt-4", "networkx")
+        assert len(builds) == 1
+        code[0] = "result = G.degree"  # a record keeps a result it cannot copy
+        kept = runner.run_query(application, query, "gpt-4", "networkx")
+        degrees = kept.details["actual_value"]
+        before = dict(degrees)
+        code[0] = "G.add_edge('n0', 'new')\nresult = G.number_of_nodes()"
+        runner.run_query(application, query, "gpt-4", "networkx")
+        assert len(builds) == 2
+        assert dict(degrees) == before
+
+    def test_sync_state_drops_the_idle_view(self):
+        application = TrafficAnalysisApplication.with_size(12, 15)
+        view = _networkx_cell(application, _READING_CELL)[0]
+        idle = weakref.ref(view)
+        del view
+        updated = application.graph.copy()
+        updated.add_node("new", type="host")
+        application.sync_state(updated, query="add a node")
+        gc.collect()
+        assert idle() is None
+        assert "new" in application.networkx_view()
+
+    def test_threads_never_hold_one_view_at_once(self):
+        application = TrafficAnalysisApplication.with_size(12, 15)
+        held, lock, clashes = set(), threading.Lock(), []
+
+        def cells():
+            for _ in range(300):
+                view = application.networkx_view()
+                with lock:
+                    if id(view) in held:
+                        clashes.append(id(view))
+                    held.add(id(view))
+                read_back = application.read_networkx_view(view)
+                with lock:
+                    held.discard(id(view))
+                application.recycle_networkx_view(view, read_back)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=cells) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not clashes
+
+    def test_kept_results_hold_distinct_views(self):
+        application = TrafficAnalysisApplication.with_size(12, 15)
+        _networkx_cell(application, _READING_CELL)  # leaves a view idle
+        pipeline = NetworkManagementPipeline(
+            application, _ScriptedProvider("python", _READING_CELL), "networkx")
+        first, second = pipeline.run_query("one"), pipeline.run_query("two")
+        assert first.execution.namespace["G"] is not second.execution.namespace["G"]
 
 
 class TestMaltSchema:

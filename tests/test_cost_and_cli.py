@@ -62,7 +62,7 @@ class TestCli:
 
     def test_no_command_shows_help(self, capsys):
         assert main([]) == 2
-        assert "repro-nemo" in capsys.readouterr().out
+        assert "usage: repro " in capsys.readouterr().out
 
     def test_queries_command(self, capsys):
         assert main(["queries"]) == 0

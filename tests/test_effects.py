@@ -32,17 +32,13 @@ def _fresh_cache():
     clear_effect_cache()
 
 
-def live_project():
-    return effects.project_for_root(PACKAGE_ROOT)
-
-
 def fixture_project(name):
     return effects.analyze_project(FIXTURES / name, single_relpath=name)
 
 
 class TestCallGraph:
-    def test_worker_roots_are_the_fabric_workers(self):
-        graph = live_project().graph
+    def test_worker_roots_are_the_fabric_workers(self, live_project):
+        graph = live_project.graph
         assert graph.worker_roots == [
             "repro.api:run_api_cell",
             "repro.benchmark.tasks:run_benchmark_cell",
@@ -51,8 +47,8 @@ class TestCallGraph:
             "repro.cost.tasks:run_scenario_cost_point",
         ]
 
-    def test_thread_roots_cover_executor_and_serve_paths(self):
-        graph = live_project().graph
+    def test_thread_roots_cover_executor_and_serve_paths(self, live_project):
+        graph = live_project.graph
         assert "repro.exec.workers:run_chunk" in graph.thread_roots
         assert "repro.exec.workers:run_task" in graph.thread_roots
         assert "repro.serve.service:ServerThread._run" in graph.thread_roots
@@ -298,10 +294,9 @@ class TestBaseline:
 
 
 class TestEffectsCli:
-    def test_effects_selection_runs_clean_on_live_tree(self, capsys):
+    def test_effects_selection_runs_clean_on_live_tree(self, capsys, live_effect_cache):
         from repro.cli.main import main
 
-        clear_effect_cache()
         assert main(["analyze", "--effects", str(PACKAGE_ROOT)]) == 0
         assert "clean (5 rules)" in capsys.readouterr().out
 
@@ -311,10 +306,9 @@ class TestEffectsCli:
         assert main(["analyze", "--effects", "--rules", "det-wallclock"]) == 1
         assert "--effects" in capsys.readouterr().err
 
-    def test_explain_prints_chain_for_live_worker(self, capsys):
+    def test_explain_prints_chain_for_live_worker(self, capsys, live_effect_cache):
         from repro.cli.main import main
 
-        clear_effect_cache()
         assert main(["analyze", "--explain",
                      "repro.benchmark.tasks:run_benchmark_cell",
                      str(PACKAGE_ROOT)]) == 0
@@ -323,15 +317,13 @@ class TestEffectsCli:
         assert "blocking-io" in out
         assert "thread-reachable via" in out
 
-    def test_baseline_cli_round_trip(self, capsys, tmp_path):
+    def test_baseline_cli_round_trip(self, capsys, tmp_path, live_effect_cache):
         from repro.cli.main import main
 
         baseline = tmp_path / "analysis_baseline.json"
-        clear_effect_cache()
         assert main(["analyze", "--write-baseline", str(baseline),
                      str(PACKAGE_ROOT)]) == 0
         capsys.readouterr()
-        clear_effect_cache()
         assert main(["analyze", "--baseline", str(baseline),
                      str(PACKAGE_ROOT)]) == 0
         assert "baseline: ok" in capsys.readouterr().err
@@ -358,8 +350,8 @@ class TestEffectsCli:
 class TestLiveTreeContracts:
     """The live tree satisfies every effect contract (regression lock)."""
 
-    def test_no_unlocked_thread_reachable_writes(self):
-        project = live_project()
+    def test_no_unlocked_thread_reachable_writes(self, live_project):
+        project = live_project
         offenders = []
         for qualname, sites in sorted(project.mutation_sites.items()):
             if qualname not in project.thread_pred:
@@ -370,16 +362,16 @@ class TestLiveTreeContracts:
         # the two obs install points are serialized under _install_lock
         assert offenders == []
 
-    def test_workers_are_transitively_deterministic(self):
-        project = live_project()
+    def test_workers_are_transitively_deterministic(self, live_project):
+        project = live_project
         for worker in project.graph.worker_roots:
             assert effects.NONDETERMINISTIC not in project.effects[worker], \
                 project.effect_chain(worker, effects.NONDETERMINISTIC)
             assert effects.ENV_READ not in project.effects[worker], \
                 project.effect_chain(worker, effects.ENV_READ)
 
-    def test_serve_coroutines_never_block(self):
-        project = live_project()
+    def test_serve_coroutines_never_block(self, live_project):
+        project = live_project
         for node in project.graph.functions.values():
             if not node.is_async or not node.relpath.startswith("serve/"):
                 continue
