@@ -14,6 +14,8 @@ from repro.traffic import CommunicationGraphConfig, TrafficAnalysisApplication
 
 
 PACKAGE_ROOT = Path(repro.__file__).parent
+#: the key the effect cache files the live tree's project under
+LIVE_PROJECT_KEY = (str(PACKAGE_ROOT.resolve()), None)
 
 SMALL_MALT_CONFIG = MaltTopologyConfig(
     datacenters=1, pods_per_datacenter=2, racks_per_pod=2, chassis_per_rack=2,
@@ -82,8 +84,7 @@ def live_project():
 def live_effect_cache(live_project, monkeypatch):
     """Analyses of the live tree (the CLI's included) reuse ``live_project``
     instead of building their own."""
-    monkeypatch.setitem(effects._PROJECT_CACHE, (str(PACKAGE_ROOT.resolve()), None),
-                        live_project)
+    monkeypatch.setitem(effects._PROJECT_CACHE, LIVE_PROJECT_KEY, live_project)
 
 
 @pytest.fixture(scope="session")
@@ -91,6 +92,5 @@ def live_tree_findings(live_project):
     """Every finding of every rule on the live tree, computed once."""
     clear_template_cache()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setitem(effects._PROJECT_CACHE, (str(PACKAGE_ROOT.resolve()), None),
-                      live_project)
+        patch.setitem(effects._PROJECT_CACHE, LIVE_PROJECT_KEY, live_project)
         return analyze_tree(PACKAGE_ROOT)
