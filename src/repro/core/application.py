@@ -13,11 +13,11 @@ from __future__ import annotations
 import abc
 import threading
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 from itertools import chain
 from operator import is_
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
-from weakref import WeakKeyDictionary
+from weakref import WeakKeyDictionary, WeakSet
 
 import networkx as nx
 
@@ -79,60 +79,59 @@ def _mirrors(nx_graph: Any, graph: PropertyGraph) -> bool:
 #: what a new networkx graph keeps in its ``__dict__``, in order
 _STORAGE = {kind: tuple(vars(kind())) for kind in (nx.Graph, nx.DiGraph)}
 
-#: guards the idle recycled networkx view and the records of handed-out ones
+#: the dicts a networkx graph stores its contents in, with how many levels
+#: of nested dicts each one has
+_TREES = (("graph", 1), ("_node", 2), ("_adj", 3), ("_pred", 2))
+
+#: guards the idle recycled networkx view, the layouts of the views handed
+#: out and the set of those read back unwritten
 _VIEW_LOCK = threading.Lock()
 _IDLE_VIEW = "idle networkx view"
-_VIEW_RECORDS = "networkx view records"
+_VIEW_LAYOUTS = "networkx view layouts"
+_UNWRITTEN_VIEWS = "networkx views read back unwritten"
+
+#: a networkx graph's layout: its type and storage attributes, then, for
+#: every level of its storage dicts, (the dicts, their sizes, their keys,
+#: their values)
+_Layout = Tuple[List[Any], List[Tuple[List[Any], List[int], List[Any], List[Any]]]]
 
 
-def _stored_objects(nx_graph: Any) -> Tuple[List[Any], List[int]]:
-    """Every object *nx_graph* stores, in storage order: its storage
-    attributes, node dicts, successor rows and their dicts, and predecessor
-    rows with their keys and dicts (an undirected graph's successor rows
-    are its predecessor rows); and the lengths of its predecessor rows."""
-    state = vars(nx_graph)
-    adj = state["_adj"]
-    pred = state.get("_pred", adj)
-    objects = [*map(state.get, _STORAGE[type(nx_graph)]), *state["_node"].values(),
-               *adj.values(), *chain.from_iterable(map(dict.values, adj.values())),
-               *pred.values(), *pred, *chain.from_iterable(pred.values()),
-               *chain.from_iterable(map(dict.values, pred.values()))]
-    return objects, list(map(len, pred.values()))
+def _layout(nx_graph: Any) -> _Layout:
+    """Every object *nx_graph* stores, in storage order: its type and
+    storage attributes, then, level by level down its graph, node,
+    successor and predecessor dicts (an undirected graph has none of the
+    last), the dicts of the level and their sizes, keys and values."""
+    kind, state = type(nx_graph), vars(nx_graph)
+    storage = _STORAGE[kind]
+    levels = []
+    for name, depth in _TREES:
+        if name in storage:
+            dicts = [state[name]]
+            for _ in range(depth):
+                values = list(chain.from_iterable(map(dict.values, dicts)))
+                levels.append((dicts, list(map(len, dicts)),
+                               list(chain.from_iterable(dicts)), values))
+                dicts = values
+    return [kind, *map(state.get, storage)], levels
 
 
-def _cached_by_networkx(nx_graph: Any, name: str, value: Any) -> bool:
-    """True when *value* is what the networkx ``cached_property`` *name* of
-    *nx_graph* computes: a view of the same type over the same objects."""
-    prop = getattr(type(nx_graph), name, None)
-    if not isinstance(prop, cached_property):
-        return False
-    fresh = prop.func(nx_graph)
-    if type(value) is not type(fresh):
-        return False
-    return _same_objects(value.__getstate__().values(), fresh.__getstate__().values())
+def _holds_layout(nx_graph: Any, layout: _Layout) -> bool:
+    """True when *nx_graph* still stores what *layout* (its :func:`_layout`)
+    recorded: the same objects in the same dicts, places and order.
 
-
-def _as_new(nx_graph: Any, record: Tuple[List[Any], List[int]]) -> bool:
-    """True when *nx_graph*, a view :func:`_mirrors` accepted, is as good as
-    the new ``to_networkx`` graph it was when *record* (its
-    :func:`_stored_objects`) was taken, once its attributes other than its
-    storage are deleted.
-
-    Checked here is what :func:`_mirrors` leaves out: the graph still stores
-    the very objects it stored then, in the same places and order, so no
-    row or dict was replaced, shared or reordered (predecessor rows
-    included); its ``__networkx_cache__`` is empty; and its other
-    attributes are networkx's own cached views.
+    The walk goes down the recorded dicts, each of which the level above
+    showed to be the graph's own, so it builds nothing.  A graph that
+    passes holds exactly what it held then, ``_pred`` key order and each
+    ``_pred[t][s]`` being ``_adj[s][t]`` included; its other attributes
+    (networkx's cached views, or any a program set) are not looked at.
     """
-    state = vars(nx_graph)
-    storage = _STORAGE[type(nx_graph)]
-    if (state.get("__networkx_cache__")
-            or not all(_cached_by_networkx(nx_graph, name, value)
-                       for name, value in state.items() if name not in storage)):
-        return False
-    (objects, lengths), (recorded, recorded_lengths) = _stored_objects(nx_graph), record
-    # with the layout _mirrors checked, equal row lengths mean equal list lengths
-    return lengths == recorded_lengths and _same_objects(objects, recorded)
+    head, levels = layout
+    kind, state = type(nx_graph), vars(nx_graph)
+    return (_same_objects([kind, *map(state.get, _STORAGE.get(kind, ()))], head)
+            and all(list(map(len, dicts)) == sizes
+                    and _same_objects(chain.from_iterable(dicts), keys)
+                    and _same_objects(chain.from_iterable(map(dict.values, dicts)), values)
+                    for dicts, sizes, keys, values in levels))
 
 
 def _same_cells(frame: Any, frozen: DataFrame) -> bool:
@@ -248,43 +247,46 @@ class NetworkApplication(abc.ABC):
 
     def networkx_view(self):
         """The state as a ``networkx`` graph (NetworkX backend input): the
-        idle recycled view when there is one, else a new conversion."""
+        idle recycled view when there is one, else a new conversion, whose
+        :func:`_layout` is recorded for :meth:`read_networkx_view`."""
         entries = self._entries()
         with _VIEW_LOCK:
             view = entries.pop(_IDLE_VIEW, None)
         if view is None:
             view = to_networkx(self._graph)
-            record = _stored_objects(view)
+            layout = _layout(view)
             with _VIEW_LOCK:
-                entries.setdefault(_VIEW_RECORDS, WeakKeyDictionary())[view] = record
+                entries.setdefault(_VIEW_LAYOUTS, WeakKeyDictionary())[view] = layout
         return view
 
-    def recycle_networkx_view(self, nx_graph, read_back: PropertyGraph) -> None:
+    def recycle_networkx_view(self, nx_graph) -> None:
         """Keep *nx_graph*, a :meth:`networkx_view` a query has finished
         with, for the next :meth:`networkx_view` call if it is as good as
         new.
 
-        *read_back* is what :meth:`read_networkx_view` returned for it after
-        the query's program ran without error.  The view is kept only when
-        that is the shared unwritten graph (the query wrote nothing
-        :func:`_mirrors` sees) and the rest of the view is as it was handed
-        out too (:func:`_as_new`); otherwise it is dropped.  At most one
-        view is kept.  The caller gives the view up, together with
-        everything that refers into it (the program's result and
-        namespace): the next query may write to it.
+        The view is kept only when :meth:`read_networkx_view` read it back
+        after the query's program ran without error, and found it holding
+        what it was handed out with.  Its attributes besides its storage
+        are deleted, kept or not, and a kept view's ``__networkx_cache__``
+        is emptied.  At most one view is kept.  The caller gives the view
+        up, together with everything that refers into it (the program's
+        result and namespace): the next query may write to it.
         """
-        entries = self._entries()
-        with _VIEW_LOCK:
-            record = entries.get(_VIEW_RECORDS, {}).get(nx_graph)
-        if record is None:  # not handed out for the current graph
+        if type(nx_graph) not in _STORAGE:
             return
-        keep = read_back is entries.get("read back networkx") and _as_new(nx_graph, record)
         # networkx's cached views point back at the graph: without them, a
         # dropped view is freed at once rather than by a full collection
         state = vars(nx_graph)
         for name in [name for name in state if name not in _STORAGE[type(nx_graph)]]:
             del state[name]
+        entries = self._entries()
+        with _VIEW_LOCK:
+            unwritten = entries.get(_UNWRITTEN_VIEWS, set())
+            keep = nx_graph in unwritten
+            unwritten.discard(nx_graph)
         if keep:
+            if "__networkx_cache__" in state:
+                state["__networkx_cache__"].clear()
             with _VIEW_LOCK:
                 entries.setdefault(_IDLE_VIEW, nx_graph)
 
@@ -298,11 +300,31 @@ class NetworkApplication(abc.ABC):
         return frames_to_database(*self._frames(), self._graph.name)
 
     def read_networkx_view(self, nx_graph) -> PropertyGraph:
-        """The graph a :meth:`networkx_view` holds after a query ran on it."""
+        """The graph a :meth:`networkx_view` holds after a query ran on it.
+
+        A view built for the current graph is unwritten when it still holds
+        its recorded layout (:func:`_holds_layout`), and may then be
+        recycled.  Any other graph (``G`` rebound by the program, say) is
+        unwritten when :func:`_mirrors` finds it holding what the current
+        graph holds.
+        """
         convert = partial(from_networkx, nx_graph)
-        if _mirrors(nx_graph, self._graph):
-            return self._unwritten_read_back("networkx", convert)
-        return convert()
+        layout = None
+        if type(nx_graph) in _STORAGE:
+            entries = self._entries()
+            with _VIEW_LOCK:
+                layout = entries.get(_VIEW_LAYOUTS, {}).get(nx_graph)
+        if layout is not None:
+            unwritten = _holds_layout(nx_graph, layout)
+            with _VIEW_LOCK:
+                views = entries.setdefault(_UNWRITTEN_VIEWS, WeakSet())
+                if unwritten:
+                    views.add(nx_graph)
+                else:  # written since an earlier read, if there was one
+                    views.discard(nx_graph)
+        else:
+            unwritten = _mirrors(nx_graph, self._graph)
+        return self._unwritten_read_back("networkx", convert) if unwritten else convert()
 
     def read_frame_view(self, node_frame: DataFrame, edge_frame: DataFrame) -> PropertyGraph:
         """The graph a :meth:`frame_view` holds after a query ran on it."""

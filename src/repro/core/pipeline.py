@@ -127,8 +127,7 @@ class NetworkManagementPipeline:
         (:meth:`NetworkApplication.recycle_networkx_view`).  Only a view
         whose code ran without error is offered."""
         if self.backend == "networkx" and result.updated_graph is not None:
-            self.application.recycle_networkx_view(result.execution.namespace["G"],
-                                                   result.updated_graph)
+            self.application.recycle_networkx_view(result.execution.namespace["G"])
 
     # ------------------------------------------------------------------
     def _execute_python(self, result: PipelineResult) -> None:

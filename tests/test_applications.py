@@ -446,48 +446,52 @@ def _empty(rows):
 
 
 #: cells that leave their view unlike a new one, so that its next taker
-#: must get a new one: name -> (the code, or view -> the code; whether
-#: _mirrors misses it).  They run on a directed traffic application.
+#: must get a new one: name -> the code, or view -> the code.  They run on
+#: a directed traffic application.
 _LEAKING_CELLS = {
-    "setattr": ("setattr(G, 'marker', 1)", True),
-    "cached-view-replaced": ("G.nodes = {}", True),
-    "cached-view-of-another-graph": ("G.nodes = G.subgraph([]).nodes", True),
-    "graph-key": ("G.graph['note'] = 1", False),
-    "attribute-write": ("u, v = list(G.edges)[0]\nG.edges[u, v]['bytes'] += 1", False),
-    "edge-re-added": (lambda g: "s, t = next(e for e in G.edges if e == {!r})\n"
+    "graph-key": "G.graph['note'] = 1",
+    "node-attribute-write": "G.nodes[list(G)[0]]['type'] = 'other'",
+    "attribute-write": "u, v = list(G.edges)[0]\nG.edges[u, v]['bytes'] += 1",
+    "edge-re-added": lambda g: ("s, t = next(e for e in G.edges if e == {!r})\n"
                                 "attrs = dict(G.edges[s, t])\n"
                                 "G.remove_edge(s, t)\n"
-                                "G.add_edge(s, t, **attrs)".format(_pred_reordering_edge(g)),
-                      True),
-    "pred-entry-moved": (lambda g: "t1, t2 = {!r}\n"
+                                "G.add_edge(s, t, **attrs)".format(_pred_reordering_edge(g))),
+    "pred-entry-moved": lambda g: ("t1, t2 = {!r}\n"
                                    "source = list(G._pred[t2])[0]\n"
                                    "G._pred[t1][source] = G._pred[t2].pop(source)"
-                                   .format(_consecutive_targets(g)), True),
+                                   .format(_consecutive_targets(g))),
     "pred-row-reordered": ("t = next(t for t, row in G._pred.items() if len(row) > 1)\n"
                            "items = list(G._pred[t].items())\n"
                            "G._pred[t].clear()\n"
-                           "G._pred[t].update(reversed(items))", True),
+                           "G._pred[t].update(reversed(items))"),
     "pred-source-rekeyed": ("t = next(t for t, row in G._pred.items() if row)\n"
                             "row = G._pred[t]\n"
                             "other = next(n for n in G if n not in row and n != t)\n"
-                            "row[other] = row.pop(list(row)[-1])", True),
-    "pred-target-rekeyed": ("G._pred['ghost'] = G._pred.pop(list(G._pred)[-1])", True),
-    "pred-dict-copied": ("u, v = list(G.edges)[0]\nG._pred[v][u] = dict(G._pred[v][u])", True),
-    "adj-dict-copied": ("u, v = list(G.edges)[0]\nG._adj[u][v] = dict(G._adj[u][v])", True),
-    "succ-split": ("G._succ = dict(G._adj)", True),
-    "rows-shared": (lambda g: "a, b = {!r}\nG._adj[a] = G._adj[b]".format(_empty(g._adj)),
-                    True),
-    "pred-rows-shared": (lambda g: "a, b = {!r}\nG._pred[a] = G._pred[b]".format(
-        _empty(g._pred)), True),
-    "networkx-cache-entry": ("G.__networkx_cache__['x'] = 1", True),
-    "raises-after-writing": ("G.graph['note'] = 1\nraise ValueError('no')", False),
-    "rebound": ("G = G.copy()", True),
+                            "row[other] = row.pop(list(row)[-1])"),
+    "pred-target-rekeyed": "G._pred['ghost'] = G._pred.pop(list(G._pred)[-1])",
+    "pred-dict-copied": "u, v = list(G.edges)[0]\nG._pred[v][u] = dict(G._pred[v][u])",
+    "adj-dict-copied": "u, v = list(G.edges)[0]\nG._adj[u][v] = dict(G._adj[u][v])",
+    "succ-split": "G._succ = dict(G._adj)",
+    "rows-shared": lambda g: "a, b = {!r}\nG._adj[a] = G._adj[b]".format(_empty(g._adj)),
+    "pred-rows-shared": lambda g: "a, b = {!r}\nG._pred[a] = G._pred[b]".format(
+        _empty(g._pred)),
+    "raises-after-writing": "G.graph['note'] = 1\nraise ValueError('no')",
+    "rebound": "G = G.copy()",
+}
+
+#: cells that only set attributes of G besides its storage, or fill its
+#: ``__networkx_cache__``: recycling deletes and empties them
+_ATTRIBUTE_CELLS = {
+    "setattr": "setattr(G, 'marker', 1)",
+    "cached-view-replaced": "G.nodes = {}",
+    "cached-view-of-another-graph": "G.nodes = G.subgraph([]).nodes",
+    "networkx-cache-entry": "G.__networkx_cache__['x'] = 1",
 }
 
 #: the same for an undirected application whose view mirrors it
 _LEAKING_UNDIRECTED_CELLS = {
-    "undirected-dict-split": ("G._adj['c']['b'] = dict(G._adj['c']['b'])", True),
-    "node-dicts-shared": ("G._node['a'] = G._node['b']", True),
+    "undirected-dict-split": "G._adj['c']['b'] = dict(G._adj['c']['b'])",
+    "node-dicts-shared": "G._node['a'] = G._node['b']",
 }
 
 
@@ -513,19 +517,52 @@ class TestRecycledNetworkxView:
     def test_leaking_cell_gives_the_next_cell_a_new_view(self, cell, storage_layout):
         if cell in _LEAKING_CELLS:
             application = TrafficAnalysisApplication.with_size(12, 15)
-            code, mirrors_miss_it = _LEAKING_CELLS[cell]
+            code = _LEAKING_CELLS[cell]
         else:
             application = _undirected_mirrored_application()
-            code, mirrors_miss_it = _LEAKING_UNDIRECTED_CELLS[cell]
+            code = _LEAKING_UNDIRECTED_CELLS[cell]
         if callable(code):
             code = code(to_networkx(application.graph))
         _read_backs(application)  # the unwritten read-backs exist already
         view, result = _networkx_cell(application, code + "\nresult = 0")
-        if mirrors_miss_it:  # read back as the shared unwritten graph
-            assert result.updated_graph._nodes is application.graph._nodes, cell
+        if result.succeeded:  # read back as written, unless G lost its layout
+            shared = result.updated_graph._nodes is application.graph._nodes
+            assert shared == (cell == "rebound"), cell
         following = application.networkx_view()
         assert following is not view
         assert storage_layout(following) == storage_layout(to_networkx(application.graph))
+
+    @pytest.mark.parametrize("cell", sorted(_ATTRIBUTE_CELLS))
+    def test_recycling_deletes_what_a_cell_set_besides_the_storage(self, cell,
+                                                                  storage_layout):
+        application = TrafficAnalysisApplication.with_size(12, 15)
+        _read_backs(application)  # the unwritten read-backs exist already
+        view, result = _networkx_cell(application, _ATTRIBUTE_CELLS[cell] + "\nresult = 0")
+        assert result.succeeded, result.error_message
+        following = application.networkx_view()
+        assert following is view
+        new = to_networkx(application.graph)
+        assert storage_layout(following) == storage_layout(new)
+        assert vars(following).keys() == vars(new).keys()
+        assert getattr(following, "__networkx_cache__", {}) == {}
+        assert list(following.nodes) == list(new.nodes)
+
+    def test_the_last_read_back_decides(self):
+        application = TrafficAnalysisApplication.with_size(12, 15)
+        view = application.networkx_view()
+        application.read_networkx_view(view)
+        view.graph["note"] = 1
+        application.read_networkx_view(view)
+        application.recycle_networkx_view(view)
+        assert application.networkx_view() is not view
+
+    def test_a_view_not_read_back_since_it_was_taken_is_dropped(self):
+        application = TrafficAnalysisApplication.with_size(12, 15)
+        view = _networkx_cell(application, _READING_CELL)[0]
+        assert application.networkx_view() is view
+        view.graph["note"] = 1
+        application.recycle_networkx_view(view)
+        assert application.networkx_view() is not view
 
     def test_timed_out_cell_drops_its_view(self):
         application = TrafficAnalysisApplication.with_size(12, 15)
@@ -589,10 +626,10 @@ class TestRecycledNetworkxView:
                     if id(view) in held:
                         clashes.append(id(view))
                     held.add(id(view))
-                read_back = application.read_networkx_view(view)
+                application.read_networkx_view(view)
                 with lock:
                     held.discard(id(view))
-                application.recycle_networkx_view(view, read_back)
+                application.recycle_networkx_view(view)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
