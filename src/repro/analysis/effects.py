@@ -20,7 +20,9 @@ fixpoint:
 ``global-mutation``
     writes to module-level names (rebinds under ``global``, item stores,
     mutating method calls), each recorded with whether a ``with <lock>:``
-    was in scope
+    was in scope; and changes to process-wide state (``redirect_stdout``/
+    ``redirect_stderr``, assignments to ``sys.stdout``/``sys.stderr``,
+    ``os.chdir``, ``os.environ`` stores), which no lock makes safe
 
 Each ``(function, effect)`` pair keeps a *witness* — the seed line or the
 call edge the effect arrived through — so a finding can print the exact
@@ -42,6 +44,7 @@ fabric workers             transitively ``nondeterministic``
                            because no call edge is created for it
 thread-reachable code      unlocked module-global writes
                            (``effect-thread-shared-state``, error)
+any code                   process-wide state changes (same rule)
 =========================  =================================================
 
 The per-file determinism rules (:mod:`repro.analysis.determinism`) share
@@ -137,6 +140,15 @@ MUTATING_METHODS = {
     "discard", "insert", "sort", "reverse",
 }
 
+#: process-wide state every thread reads without a lock (each ``print``,
+#: each relative path, each environment lookup), so changing it from one
+#: thread changes it for all: calls, assignment targets, item stores
+PROCESS_STATE_CALLS = {
+    "contextlib.redirect_stdout", "contextlib.redirect_stderr", "os.chdir",
+}
+PROCESS_STATE_ATTRIBUTES = {"sys.stdout", "sys.stderr"}
+PROCESS_STATE_MAPPINGS = {"os.environ"}
+
 #: files allowed to keep ``fs-write`` inside ``repro.obs``: the exporters
 #: (trace/metrics snapshots) and the append-only run ledger
 OBS_EXPORTER_FILES = ("obs/export.py", "obs/ledger.py")
@@ -162,7 +174,7 @@ class MutationSite:
     lineno: int
     col: int
     locked: bool
-    kind: str  # "rebind" | "item" | "attr" | "mutate"
+    kind: str  # "rebind" | "item" | "attr" | "mutate" | "process"
 
     def describe(self) -> str:
         verbs = {
@@ -170,6 +182,7 @@ class MutationSite:
             "item": "stores an item into module global",
             "attr": "sets an attribute on module global",
             "mutate": "mutates module global",
+            "process": "changes process-wide state with",
         }
         return f"{verbs[self.kind]} '{self.name}'"
 
@@ -393,9 +406,10 @@ def _is_lock_expression(node: ast.AST) -> bool:
 class _MutationScanner(ast.NodeVisitor):
     """Collect module-global write sites, tracking ``with <lock>:`` depth."""
 
-    def __init__(self, module_globals: Set[str], global_decls: Set[str],
+    def __init__(self, info: ModuleInfo, global_decls: Set[str],
                  local_binds: Set[str]) -> None:
-        self.module_globals = module_globals
+        self.info = info
+        self.module_globals = info.global_names
         self.global_decls = global_decls
         self.local_binds = local_binds
         self.lock_depth = 0
@@ -418,7 +432,11 @@ class _MutationScanner(ast.NodeVisitor):
     def _site(self, name: str, node: ast.AST, kind: str) -> None:
         self.sites.append(MutationSite(
             name=name, lineno=node.lineno, col=node.col_offset,
-            locked=self.lock_depth > 0, kind=kind))
+            locked=self.lock_depth > 0 and kind != "process", kind=kind))
+
+    def _process_state(self, node: ast.AST, names: Set[str]) -> Optional[str]:
+        dotted = normalized_call_target(self.info, node)
+        return dotted if dotted in names else None
 
     def _is_global_receiver(self, node: ast.AST) -> Optional[str]:
         if isinstance(node, ast.Name) and node.id in self.module_globals \
@@ -434,10 +452,16 @@ class _MutationScanner(ast.NodeVisitor):
             name = self._is_global_receiver(target.value)
             if name is not None:
                 self._site(name, target, "item")
+            name = self._process_state(target.value, PROCESS_STATE_MAPPINGS)
+            if name is not None:
+                self._site(name, target, "process")
         elif isinstance(target, ast.Attribute):
             name = self._is_global_receiver(target.value)
             if name is not None:
                 self._site(name, target, "attr")
+            name = self._process_state(target, PROCESS_STATE_ATTRIBUTES)
+            if name is not None:
+                self._site(name, target, "process")
         elif isinstance(target, (ast.Tuple, ast.List)):
             for element in target.elts:
                 self._scan_target(element)
@@ -464,6 +488,12 @@ class _MutationScanner(ast.NodeVisitor):
             name = self._is_global_receiver(node.func.value)
             if name is not None:
                 self._site(name, node, "mutate")
+            name = self._process_state(node.func.value, PROCESS_STATE_MAPPINGS)
+            if name is not None:
+                self._site(name, node, "process")
+        name = self._process_state(node.func, PROCESS_STATE_CALLS)
+        if name is not None:
+            self._site(name, node, "process")
         self.generic_visit(node)
 
 
@@ -485,7 +515,7 @@ def _scan_mutations(info: ModuleInfo,
             if node is not owner.node:
                 local_binds.add(node.name)
     local_binds -= global_decls
-    scanner = _MutationScanner(info.global_names, global_decls, local_binds)
+    scanner = _MutationScanner(info, global_decls, local_binds)
     body = owner.node.body if hasattr(owner.node, "body") else []
     for statement in body:
         scanner.visit(statement)
@@ -738,25 +768,33 @@ def check_async_blocking(rule_: Rule, ctx: FileContext) -> Iterator[Finding]:
 
 @rule("effect-thread-shared-state", severity=SEVERITY_ERROR,
       description="module global written without a lock from a "
-                  "thread-reachable function",
+                  "thread-reachable function, or process-wide state changed",
       suggestion="take a module-level threading.Lock() (with _LOCK: ...) "
                  "around every write to state shared across ThreadExecutor "
-                 "/ ServerThread paths, or confine the state to one thread")
+                 "/ ServerThread paths, or confine the state to one thread; "
+                 "pass streams, directories and settings explicitly instead "
+                 "of swapping sys.stdout, the cwd or os.environ")
 def check_thread_shared_state(rule_: Rule,
                               ctx: FileContext) -> Iterator[Finding]:
+    """Process-wide state changes are flagged even where the call graph
+    finds no thread chain: method calls through attributes often stay
+    unresolved, and every library function may run on a serve thread."""
     project = project_for(ctx)
     for node in project.graph.functions_in(ctx.relpath):
-        if node.qualname not in project.thread_pred:
-            continue
+        reachable = node.qualname in project.thread_pred
         for site in project.mutation_sites.get(node.qualname, ()):
-            if site.locked:
+            if site.locked or not (reachable or site.kind == "process"):
                 continue
-            chain = " -> ".join(
-                short_name(hop)
-                for hop in project.thread_chain(node.qualname))
-            yield ctx.finding(
-                rule_, None,
-                f"{short_name(node.qualname)}() {site.describe()} without "
-                f"a lock in scope, and is reachable from a thread entry "
-                f"point ({chain})",
-                line=site.lineno, col=site.col)
+            message = f"{short_name(node.qualname)}() {site.describe()}"
+            if site.kind == "process":
+                message += ", which every thread sees at once"
+            else:
+                message += " without a lock in scope"
+            if reachable:
+                chain = " -> ".join(
+                    short_name(hop)
+                    for hop in project.thread_chain(node.qualname))
+                message += (f", and is reachable from a thread entry point "
+                            f"({chain})")
+            yield ctx.finding(rule_, None, message,
+                              line=site.lineno, col=site.col)

@@ -8,7 +8,6 @@ which is exactly the content of the paper's Tables 2, 3, 4 and 5.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -27,7 +26,6 @@ from repro.benchmark.queries import (
 from repro.core.application import NetworkApplication
 from repro.core.pipeline import NetworkManagementPipeline, QueryRequest
 from repro.exec import (
-    ExecutionOptions,
     ExecutorPolicy,
     PROFILE_CPU,
     PROFILE_LATENCY,
@@ -334,17 +332,8 @@ class BenchmarkRunner:
     """
 
     def __init__(self, config: Optional[BenchmarkConfig] = None,
-                 execution: Optional[ExecutionOptions] = None,
                  policy: Optional[ExecutorPolicy] = None) -> None:
         self.config = config or BenchmarkConfig()
-        if execution is not None:
-            require(policy is None,
-                    "pass either policy= or the deprecated execution=, not both")
-            warnings.warn(
-                "BenchmarkRunner(execution=ExecutionOptions(...)) is "
-                "deprecated; pass policy=ExecutorPolicy(...) instead",
-                DeprecationWarning, stacklevel=2)
-            policy = execution.to_policy()
         self.policy = policy or ExecutorPolicy.serial()
         self.evaluator = ResultsEvaluator()
         self.goldens = GoldenAnswerSelector()

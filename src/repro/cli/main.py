@@ -15,8 +15,9 @@ Sub-commands:
 * ``loadtest``  — replay a Zipf-weighted query mix against a server and
                   report p50/p95/p99 latency and throughput;
 * ``obs``       — analyze recorded telemetry: bottleneck/critical-path
-                  reports from traces, run-ledger management, and
-                  noise-banded regression diffs between runs.
+                  reports from traces, run-ledger management,
+                  noise-banded regression diffs between runs, and the CI
+                  gate against committed baselines.
 """
 
 from __future__ import annotations
@@ -51,9 +52,7 @@ from repro.obs import (
     write_trace,
 )
 from repro.obs.analyze import (
-    DEFAULT_ABS_FLOOR,
-    DEFAULT_MIN_COUNT,
-    DEFAULT_NOISE_BAND,
+    gate_metrics,
     render_latency_table,
     render_report,
     spans_from_trace,
@@ -381,8 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="temporal answering backend (default direct)")
     loadtest.add_argument("--json", dest="json_path", default=None,
                           metavar="OUT.json",
-                          help="write the report (the regression-gate schema) "
-                               "to this JSON file")
+                          help="write the report as a metrics snapshot (what "
+                               "'repro obs gate' reads) to this JSON file")
 
     obs = subparsers.add_parser(
         "obs", help="analyze recorded telemetry: reports, run ledger, diffs")
@@ -406,20 +405,16 @@ def build_parser() -> argparse.ArgumentParser:
                            "or a metrics/ledger JSON path (default: prev)")
     diff.add_argument("current", nargs="?", default=None,
                       help="candidate run, same forms (default: latest)")
-    diff.add_argument("--ledger-dir", default=DEFAULT_LEDGER_DIR, metavar="DIR",
-                      help=f"ledger to resolve entry ids in "
-                           f"(default {DEFAULT_LEDGER_DIR})")
-    diff.add_argument("--band", type=float, default=DEFAULT_NOISE_BAND,
-                      help="relative noise band: a quantile must exceed the "
-                           "baseline by this fraction to regress "
-                           f"(default {DEFAULT_NOISE_BAND:g} = "
-                           f"{1 + DEFAULT_NOISE_BAND:g}x)")
-    diff.add_argument("--abs-floor", type=float, default=DEFAULT_ABS_FLOOR,
-                      help="absolute floor: quantile deltas below this never "
-                           f"regress (default {DEFAULT_ABS_FLOOR:g})")
-    diff.add_argument("--min-count", type=int, default=DEFAULT_MIN_COUNT,
-                      help="minimum observations per side for a histogram "
-                           f"verdict (default {DEFAULT_MIN_COUNT})")
+    gate = obs_sub.add_parser(
+        "gate", help="CI verdict of a run against a committed baseline under "
+                     "the per-prefix gate bands (nonzero exit on regression)")
+    gate.add_argument("base", help="baseline, same forms as 'obs diff'")
+    gate.add_argument("current", help="candidate run, same forms")
+    for command in (diff, gate):
+        command.add_argument("--ledger-dir", default=DEFAULT_LEDGER_DIR,
+                             metavar="DIR",
+                             help=f"ledger to resolve entry ids in "
+                                  f"(default {DEFAULT_LEDGER_DIR})")
     ledger = obs_sub.add_parser("ledger", help="list/show recorded runs")
     ledger_sub = ledger.add_subparsers(dest="ledger_action")
     ledger_list = ledger_sub.add_parser("list", help="list recorded runs")
@@ -729,14 +724,15 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
 # obs: telemetry analysis
 # ---------------------------------------------------------------------------
 def _load_metrics_source(token: str, ledger_dir: str):
-    """Resolve one ``obs diff`` operand to ``(label, metrics document)``.
+    """Resolve one ``obs diff``/``obs gate`` operand to ``(label, metrics
+    document)``.
 
-    A token naming an existing JSON file loads directly (both raw metrics
-    snapshots and whole ledger entry files work); anything else resolves
-    through the ledger (entry id, unique prefix, ``latest``, ``prev``).
+    A token ending in ``.json`` loads that file (both raw metrics snapshots
+    and whole ledger entry files work); anything else resolves through the
+    ledger (entry id, unique prefix, ``latest``, ``prev``).
     """
     path = Path(token)
-    if path.suffix == ".json" and path.is_file():
+    if path.suffix == ".json":
         document = json.loads(path.read_text(encoding="utf-8"))
         if "metrics" in document and "counters" not in document:
             return str(path), document["metrics"]     # a ledger entry file
@@ -761,19 +757,22 @@ def _cmd_obs_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs_diff(args: argparse.Namespace) -> int:
+    """``obs diff`` (same-host runs) and ``obs gate`` (committed baseline)."""
     base_label, base_doc = _load_metrics_source(
         args.base or "prev", args.ledger_dir)
     current_label, current_doc = _load_metrics_source(
         args.current or "latest", args.ledger_dir)
-    require(args.band > 0, f"--band must be positive, got {args.band}")
-    require(args.abs_floor >= 0,
-            f"--abs-floor cannot be negative, got {args.abs_floor}")
-    diff = diff_metrics(base_doc, current_doc, band=args.band,
-                        abs_floor=args.abs_floor, min_count=args.min_count)
+    if args.obs_action == "gate":
+        diff = gate_metrics(base_doc, current_doc)
+    else:
+        diff = diff_metrics(base_doc, current_doc)
     print(f"base:    {base_label}")
     print(f"current: {current_label}")
     print()
     print(diff.render())
+    for entry in diff.regressions():
+        limit = f" (limit {entry.band.limit:g}x)" if entry.band else ""
+        print(f"FAIL {entry.name}: {entry.detail}{limit}", file=sys.stderr)
     return 0 if diff.ok else 1
 
 
@@ -875,11 +874,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_obs(args: argparse.Namespace) -> int:
     if args.obs_action == "report":
         return _cmd_obs_report(args)
-    if args.obs_action == "diff":
+    if args.obs_action in ("diff", "gate"):
         return _cmd_obs_diff(args)
     if args.obs_action == "ledger":
         return _cmd_obs_ledger(args)
-    print("usage: repro obs {report,diff,ledger} ...")
+    print("usage: repro obs {report,diff,gate,ledger} ...")
     return 2
 
 

@@ -2,20 +2,19 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.benchmark.queries import BenchmarkQuery, traffic_queries
 from repro.core.prompts import build_prompt
 from repro.cost.tasks import scalability_task, scenario_cost_task
-from repro.exec import ExecutionOptions, ExecutorPolicy, RunReport, TaskSet, run_tasks
+from repro.exec import ExecutorPolicy, RunReport, TaskSet, run_tasks
 from repro.llm.catalog import create_provider
 from repro.llm.pricing import DEFAULT_PRICING, PricingTable
 from repro.llm.tokenizer import count_tokens
 from repro.traffic import CommunicationGraphConfig, TrafficAnalysisApplication
 from repro.utils.tables import format_cdf
-from repro.utils.validation import require, require_positive
+from repro.utils.validation import require_positive
 
 
 #: assumed completion size (tokens) for a code answer; generated programs in
@@ -104,20 +103,11 @@ class CostAnalyzer:
 
     def __init__(self, model: str = "gpt-4", pricing: Optional[PricingTable] = None,
                  completion_tokens: int = DEFAULT_COMPLETION_TOKENS,
-                 execution: Optional[ExecutionOptions] = None,
                  policy: Optional[ExecutorPolicy] = None) -> None:
         require_positive(completion_tokens, "completion_tokens")
         self.model = model
         self.pricing = pricing or DEFAULT_PRICING
         self.completion_tokens = completion_tokens
-        if execution is not None:
-            require(policy is None,
-                    "pass either policy= or the deprecated execution=, not both")
-            warnings.warn(
-                "CostAnalyzer(execution=ExecutionOptions(...)) is deprecated; "
-                "pass policy=ExecutorPolicy(...) instead",
-                DeprecationWarning, stacklevel=2)
-            policy = execution.to_policy()
         self.policy = policy or ExecutorPolicy.serial()
         #: telemetry of the most recent fabric dispatch (None before any sweep)
         self.last_run_report: Optional[RunReport] = None

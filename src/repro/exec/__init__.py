@@ -22,7 +22,7 @@ tables — follows from pure workers plus order-stable reporting, and is
 enforced by the tier-1 tests.
 """
 
-from repro.exec.api import ExecutionOptions, run_tasks, run_with_options
+from repro.exec.api import run_tasks
 from repro.exec.cache import DEFAULT_CACHE_DIR, ResultCache, resolve_cache
 from repro.exec.executors import (ParallelExecutor, SerialExecutor,
                                   ThreadExecutor, shard_tasks)
@@ -35,7 +35,6 @@ from repro.exec.workers import clear_worker_contexts, resolve_worker, worker_con
 __all__ = [
     "DEFAULT_CACHE_DIR",
     "EXECUTOR_MODES",
-    "ExecutionOptions",
     "ExecutorPolicy",
     "FABRIC_VERSION",
     "PROFILE_CPU",
@@ -54,7 +53,6 @@ __all__ = [
     "resolve_cache",
     "resolve_worker",
     "run_tasks",
-    "run_with_options",
     "shard_tasks",
     "worker_context",
 ]

@@ -9,63 +9,26 @@ cross-process coordination.
 
 The policy object is the API: owners (runner, cost analyzer, CLI, serve)
 describe *how* they want work run once — mode, jobs, cache, chunking,
-context retention — and hand the same value everywhere.  The pre-policy
-``jobs``/``cache``/``chunk_size`` kwargs still work for one release behind
-a :class:`DeprecationWarning`.
+context retention — and hand the same value everywhere.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-import warnings
-from dataclasses import dataclass
-from typing import Any, Optional, Union
+from typing import Optional
 
-from repro.exec.cache import ResultCache, resolve_cache
+from repro.exec.cache import resolve_cache
 from repro.exec.executors import SerialExecutor, ThreadExecutor
 from repro.exec.policy import ExecutorPolicy
 from repro.exec.report import RunReport, TaskResult
 from repro.exec.task import TaskSet
 from repro.exec.workers import clear_worker_contexts
 from repro.obs import ingest_observations, span
-from repro.utils.validation import ValidationError
 
 logger = logging.getLogger(__name__)
 
-#: distinguishes "caller omitted the kwarg" from every real value,
-#: including ``None`` (a meaningful cache setting)
-_UNSET: Any = object()
-
-_LEGACY_KWARGS_MESSAGE = (
-    "run_tasks(jobs=/cache=/chunk_size=) is deprecated; pass "
-    "policy=ExecutorPolicy(...) instead (ExecutorPolicy.from_legacy mirrors "
-    "the old behaviour exactly)")
-
-
-@dataclass
-class ExecutionOptions:
-    """Pre-policy bag of execution kwargs (deprecated).
-
-    Kept one release for callers that stored these options; new code holds
-    an :class:`ExecutorPolicy` instead, which adds mode selection and
-    context retention on top of the same three fields.
-    """
-
-    jobs: int = 1
-    cache: Union[None, str, ResultCache] = None
-    chunk_size: Optional[int] = None
-
-    def to_policy(self) -> ExecutorPolicy:
-        """The policy with exactly this option bag's historical behaviour."""
-        return ExecutorPolicy.from_legacy(jobs=self.jobs, cache=self.cache,
-                                          chunk_size=self.chunk_size)
-
-
 def run_tasks(task_set: TaskSet,
-              jobs: int = _UNSET,
-              cache: Union[None, str, ResultCache] = _UNSET,
-              chunk_size: Optional[int] = _UNSET,
               executor=None,
               policy: Optional[ExecutorPolicy] = None) -> RunReport:
     """Run every task of *task_set* and return the ordered :class:`RunReport`.
@@ -82,26 +45,11 @@ def run_tasks(task_set: TaskSet,
     executor:
         Explicit executor instance, overriding the policy's mechanism
         selection (the policy still governs caching and context retention).
-    jobs, cache, chunk_size:
-        Deprecated pre-policy kwargs; still honored for one release (with a
-        :class:`DeprecationWarning`) and mapped through
-        :meth:`ExecutorPolicy.from_legacy`.  Mutually exclusive with
-        ``policy``.
 
     The report's ``results`` are in task-set order regardless of executor or
     completion order — the determinism contract every consumer builds on.
     """
-    legacy = {name: value for name, value in
-              (("jobs", jobs), ("cache", cache), ("chunk_size", chunk_size))
-              if value is not _UNSET}
-    if legacy:
-        if policy is not None:
-            raise ValidationError(
-                "run_tasks() got both policy= and deprecated kwargs "
-                f"({', '.join(sorted(legacy))}); pass only the policy")
-        warnings.warn(_LEGACY_KWARGS_MESSAGE, DeprecationWarning, stacklevel=2)
-        policy = ExecutorPolicy.from_legacy(**legacy)
-    elif policy is None:
+    if policy is None:
         policy = ExecutorPolicy.serial()
     policy.validate()
 
@@ -170,18 +118,3 @@ def run_tasks(task_set: TaskSet,
                  report.task_set, type(executor).__name__, len(report.results),
                  report.cache_hits, len(report.failures()), report.wall_time_s)
     return report
-
-
-
-def run_with_options(task_set: TaskSet,
-                     options: Optional[ExecutionOptions]) -> RunReport:
-    """Deprecated: dispatch *task_set* under a pre-policy option bag.
-
-    ``None`` means serial, uncached.  New code calls
-    ``run_tasks(task_set, policy=...)`` directly.
-    """
-    warnings.warn(
-        "run_with_options() is deprecated; call run_tasks(task_set, "
-        "policy=options.to_policy()) instead", DeprecationWarning, stacklevel=2)
-    options = options or ExecutionOptions()
-    return run_tasks(task_set, policy=options.to_policy())

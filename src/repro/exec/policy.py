@@ -137,19 +137,5 @@ class ExecutorPolicy:
              **overrides) -> "ExecutorPolicy":
         return cls(mode="auto", jobs=jobs, cache=cache, **overrides)
 
-    @classmethod
-    def from_legacy(cls, jobs: int = 1,
-                    cache: Union[None, str, ResultCache] = None,
-                    chunk_size: Optional[int] = None) -> "ExecutorPolicy":
-        """The policy equivalent of the pre-policy kwargs.
-
-        Preserves the historical behaviour exactly: ``jobs > 1`` meant the
-        process pool, anything else the serial executor — never ``auto``,
-        so code migrated mechanically cannot change executors under a
-        caller's feet.
-        """
-        return cls(mode="processes" if jobs > 1 else "serial",
-                   jobs=jobs, cache=cache, chunk_size=chunk_size)
-
     def with_cache(self, cache: Union[None, str, ResultCache]) -> "ExecutorPolicy":
         return replace(self, cache=cache)

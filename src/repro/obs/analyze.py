@@ -10,12 +10,15 @@ module answers the operator's questions about it:
   slowest root span down its slowest child at every level — the chain a
   latency optimisation has to shorten.
 * **Did this run regress?**  :func:`diff_metrics` compares two metrics
-  snapshots (typically two ledger entries) quantile by quantile under an
-  explicit noise model: a histogram only counts as a regression when the
-  current quantile exceeds the baseline by *both* a relative band and an
-  absolute floor, and only when both sides saw enough observations.  A
-  metric present on one side only is reported as ``new``/``removed`` —
-  never as a crash, never as a silent 0-vs-N regression.
+  snapshots under an explicit noise model, one :class:`NoiseBand` row per
+  metric-name prefix: a value only counts as a regression when it exceeds
+  the baseline by *both* a ratio and an absolute floor, and a histogram
+  only when both sides saw enough observations.  A metric present on one
+  side only is reported as ``new``/``removed`` — never as a crash, never
+  as a silent 0-vs-N regression.  ``repro obs diff`` compares two runs on
+  one host under :data:`DIFF_BANDS`; ``repro obs gate`` (:func:`
+  gate_metrics`) compares a run with a committed baseline under
+  :data:`GATE_BANDS`, the only place CI's gate thresholds live.
 
 The noise band follows the O&M-metrics hotspot-localization idea: with a
 per-stage latency distribution recorded on every run, operational metrics
@@ -37,25 +40,12 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.utils.tables import format_table
+from repro.utils.validation import ValidationError
 
 logger = logging.getLogger(__name__)
 
 #: every complete ("X") trace event must carry these fields
 X_EVENT_FIELDS = ("name", "ph", "ts", "dur", "pid", "tid")
-
-#: the quantiles a metrics diff compares (must exist in every snapshot)
-DIFF_QUANTILES = ("p50", "p95", "p99")
-
-#: default relative noise band: a quantile must exceed the baseline by this
-#: fraction (1.0 = 2x) before it can count as a regression
-DEFAULT_NOISE_BAND = 1.0
-
-#: default absolute floor (seconds-scale units): quantile deltas below this
-#: are scheduler noise regardless of their ratio
-DEFAULT_ABS_FLOOR = 0.01
-
-#: default minimum per-side observation count for a histogram verdict
-DEFAULT_MIN_COUNT = 5
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +266,66 @@ def render_latency_table(metrics: Dict[str, Any], top: int = 10) -> str:
 # ---------------------------------------------------------------------------
 # metrics-snapshot diffing under a noise band
 # ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class NoiseBand:
+    """When a metric counts as a regression.
+
+    The current value must exceed ``limit`` times the baseline *and* the
+    baseline plus ``abs_floor``.  A band with ``quantiles`` compares those
+    quantiles of a histogram, and only when both sides saw at least
+    ``min_count`` observations; a band without them compares a gauge.
+    Lower is better for every banded metric.
+    """
+
+    limit: float
+    abs_floor: float = 0.0
+    min_count: int = 0
+    quantiles: Tuple[str, ...] = ()
+
+    def fits(self, kind: str) -> bool:
+        return (kind == "histogram") == bool(self.quantiles)
+
+
+#: ``repro obs diff``: two runs on one host, so every histogram quantile
+#: gates at 2x; deltas under 10 ms are scheduler noise whatever the ratio
+DIFF_BANDS: Dict[str, NoiseBand] = {
+    "": NoiseBand(2.0, abs_floor=0.01, min_count=5,
+                  quantiles=("p50", "p95", "p99")),
+}
+
+#: the load-test snapshot's metrics (``repro loadtest --json``) that the
+#: gate reads; the serve layer writes them under these names
+LOADTEST_COMPLETED = "loadtest.completed"
+LOADTEST_FAILED = "loadtest.failed"
+LOADTEST_LATENCY = "loadtest.latency.seconds"
+LOADTEST_SECONDS_PER_REQUEST = "loadtest.seconds_per_request"
+
+#: ``repro obs gate``: a committed baseline against a run on another host
+#: (a shared CI runner), keyed by metric-name prefix
+GATE_BANDS: Dict[str, NoiseBand] = {
+    # per-stage p95; sub-5ms spans are scheduler noise whatever their ratio,
+    # and a once-per-run span cannot gate on scheduler luck
+    "span.": NoiseBand(5.0, abs_floor=0.005, min_count=5, quantiles=("p95",)),
+    # client p95 of the served path, which is ~10 ms end to end; the minimum
+    # count (completed requests) also decides the whole load test's verdict
+    LOADTEST_LATENCY: NoiseBand(5.0, abs_floor=0.010, min_count=5,
+                                quantiles=("p95",)),
+    # the inverse of throughput
+    LOADTEST_SECONDS_PER_REQUEST: NoiseBand(5.0),
+    # topology generation, best of three attempts per family
+    "scenarios.build.": NoiseBand(3.0),
+}
+
+
+def _band_for(bands: Dict[str, NoiseBand], name: str,
+             kind: str) -> Optional[NoiseBand]:
+    """The first band whose prefix starts *name* and which fits *kind*."""
+    for prefix, band in bands.items():
+        if name.startswith(prefix) and band.fits(kind):
+            return band
+    return None
+
+
 @dataclass
 class DiffEntry:
     """One metric's verdict in a snapshot diff."""
@@ -287,6 +337,8 @@ class DiffEntry:
     base: Optional[float] = None
     current: Optional[float] = None
     ratio: Optional[float] = None
+    #: the band the metric was judged under; None means informational
+    band: Optional[NoiseBand] = None
 
 
 @dataclass
@@ -294,9 +346,8 @@ class MetricsDiff:
     """Every metric's verdict between a baseline and a current snapshot."""
 
     entries: List[DiffEntry] = field(default_factory=list)
-    band: float = DEFAULT_NOISE_BAND
-    abs_floor: float = DEFAULT_ABS_FLOOR
-    min_count: int = DEFAULT_MIN_COUNT
+    #: set when the diff gives no verdict at all (the reason)
+    no_verdict: str = ""
 
     def regressions(self) -> List[DiffEntry]:
         return [entry for entry in self.entries if entry.status == "regression"]
@@ -309,28 +360,33 @@ class MetricsDiff:
         return not self.regressions()
 
     def render(self) -> str:
-        """The diff verdict as a table plus a one-line summary."""
-        interesting = [entry for entry in self.entries if entry.status != "ok"]
+        """Every banded or one-sided metric as a table, then the verdict."""
+        if self.no_verdict:
+            return self.no_verdict
+        shown = [entry for entry in self.entries
+                 if entry.band is not None or entry.status != "ok"]
         rows = []
-        for entry in sorted(interesting,
+        for entry in sorted(shown,
                             key=lambda e: (e.status != "regression", e.name)):
             rows.append([
                 entry.name, entry.kind, entry.status.upper(),
                 "-" if entry.base is None else f"{entry.base:.6g}",
                 "-" if entry.current is None else f"{entry.current:.6g}",
                 "-" if entry.ratio is None else f"{entry.ratio:.2f}x",
+                "-" if entry.band is None
+                else f"{entry.band.limit:g}x +{entry.band.abs_floor:g}",
                 entry.detail])
         table = format_table(
-            ["metric", "kind", "verdict", "base", "current", "ratio", "detail"],
-            rows, title=(f"Snapshot diff — noise band +{self.band * 100:.0f}% "
-                         f"and >{self.abs_floor:g} absolute, "
-                         f"min {self.min_count} observations"))
-        counts = {"regression": len(self.regressions()),
+            ["metric", "kind", "verdict", "base", "current", "ratio",
+             "regresses above", "detail"],
+            rows, title="Snapshot diff")
+        counts = {"within band": len([e for e in self.entries if e.band
+                                      and e.status in ("ok", "improved")]),
+                  "regression": len(self.regressions()),
                   "improved": len(self.by_status("improved")),
                   "new": len(self.by_status("new")),
                   "removed": len(self.by_status("removed"))}
-        compared = len(self.entries)
-        summary = (f"{compared} metrics compared: "
+        summary = (f"{len(self.entries)} metrics compared: "
                    + ", ".join(f"{count} {status}" for status, count in counts.items()))
         verdict = ("WITHIN NOISE BAND" if self.ok
                    else f"REGRESSION in {counts['regression']} metric(s)")
@@ -342,84 +398,126 @@ def _section(document: Dict[str, Any], name: str) -> Dict[str, Any]:
     return section if isinstance(section, dict) else {}
 
 
+def _compare(name: str, kind: str, base_value: float, current_value: float,
+             band: NoiseBand, label: str) -> DiffEntry:
+    ratio = (current_value / base_value) if base_value > 0 else float("inf")
+    delta = current_value - base_value
+    if delta > band.abs_floor and current_value > base_value * band.limit:
+        status = "regression"
+    elif -delta > band.abs_floor and base_value > current_value * band.limit:
+        status = "improved"
+    else:
+        status = "ok"
+    return DiffEntry(name=name, kind=kind, status=status,
+                     base=float(base_value), current=float(current_value),
+                     ratio=ratio, band=band,
+                     detail=f"{label}{base_value:.6g} -> {current_value:.6g}")
+
+
 def _diff_histogram(name: str, base: Dict[str, Any], current: Dict[str, Any],
-                    band: float, abs_floor: float, min_count: int,
-                    quantiles: Sequence[str]) -> DiffEntry:
+                    band: NoiseBand) -> DiffEntry:
     base_count = int(base.get("count") or 0)
     current_count = int(current.get("count") or 0)
-    if min(base_count, current_count) < min_count:
-        return DiffEntry(name=name, kind="histogram", status="ok",
+    if min(base_count, current_count) < band.min_count:
+        return DiffEntry(name=name, kind="histogram", status="ok", band=band,
                          detail=f"too few observations "
                                 f"({base_count} vs {current_count})")
     worst: Optional[DiffEntry] = None
-    for quantile in quantiles:
+    for quantile in band.quantiles:
         base_q, current_q = base.get(quantile), current.get(quantile)
         if not isinstance(base_q, (int, float)) or not isinstance(current_q, (int, float)):
             continue
-        ratio = (current_q / base_q) if base_q > 0 else float("inf")
-        delta = current_q - base_q
-        if delta > abs_floor and current_q > base_q * (1.0 + band):
-            status = "regression"
-        elif -delta > abs_floor and base_q > current_q * (1.0 + band):
-            status = "improved"
-        else:
-            status = "ok"
-        entry = DiffEntry(name=name, kind="histogram", status=status,
-                          base=float(base_q), current=float(current_q),
-                          ratio=ratio,
-                          detail=f"{quantile} {base_q:.6g} -> {current_q:.6g}")
+        entry = _compare(name, "histogram", base_q, current_q, band,
+                         f"{quantile} ")
         # a regression on any quantile wins; otherwise keep the largest move
-        if worst is None or (status == "regression" and worst.status != "regression"):
+        if worst is None or (entry.status == "regression"
+                             and worst.status != "regression"):
             worst = entry
-        elif (status == worst.status and worst.ratio is not None
-              and entry.ratio is not None and entry.ratio > worst.ratio):
+        elif entry.status == worst.status and entry.ratio > worst.ratio:
             worst = entry
     return worst or DiffEntry(name=name, kind="histogram", status="ok",
-                              detail="no comparable quantiles")
+                              band=band, detail="no comparable quantiles")
 
 
 def diff_metrics(base_document: Dict[str, Any],
-                 current_document: Dict[str, Any], *,
-                 band: float = DEFAULT_NOISE_BAND,
-                 abs_floor: float = DEFAULT_ABS_FLOOR,
-                 min_count: int = DEFAULT_MIN_COUNT,
-                 quantiles: Sequence[str] = DIFF_QUANTILES) -> MetricsDiff:
-    """Compare two metrics snapshots under an explicit noise model.
+                 current_document: Dict[str, Any],
+                 bands: Optional[Dict[str, NoiseBand]] = None) -> MetricsDiff:
+    """Compare two metrics snapshots under explicit noise bands.
 
-    Histograms regress when any compared quantile exceeds the baseline by
-    more than ``band`` (relative) *and* ``abs_floor`` (absolute), with both
-    sides having at least ``min_count`` observations; the symmetric
-    improvement is reported as ``improved``.  Counters and gauges are
-    informational — their deltas never fail a diff, since cache hit counts
-    legitimately differ between a cold and a warm run.  A metric present in
-    only one snapshot is ``new`` or ``removed``, never an error.
+    *bands* maps metric-name prefixes to :class:`NoiseBand` rows (default
+    :data:`DIFF_BANDS`).  A histogram or gauge regresses when its band says
+    so, and the symmetric improvement is reported as ``improved``.  Metrics
+    without a band, and every counter, are informational: their deltas
+    never fail a diff, since cache hit counts legitimately differ between a
+    cold and a warm run.  A metric present in only one snapshot is ``new``
+    or ``removed``, never an error.
     """
-    diff = MetricsDiff(band=band, abs_floor=abs_floor, min_count=min_count)
+    bands = DIFF_BANDS if bands is None else bands
+    diff = MetricsDiff()
     for kind in ("counters", "gauges", "histograms"):
         base_section = _section(base_document, kind)
         current_section = _section(current_document, kind)
         singular = kind[:-1]
         for name in sorted(set(base_section) | set(current_section)):
+            band = None if kind == "counters" else _band_for(bands, name, singular)
             in_base, in_current = name in base_section, name in current_section
             if in_base and not in_current:
                 diff.entries.append(DiffEntry(
-                    name=name, kind=singular, status="removed",
+                    name=name, kind=singular, status="removed", band=band,
                     detail="only in the baseline snapshot"))
                 continue
             if in_current and not in_base:
                 diff.entries.append(DiffEntry(
-                    name=name, kind=singular, status="new",
+                    name=name, kind=singular, status="new", band=band,
                     detail="no baseline entry"))
                 continue
             base_value, current_value = base_section[name], current_section[name]
-            if kind == "histograms":
-                diff.entries.append(_diff_histogram(
-                    name, base_value or {}, current_value or {},
-                    band, abs_floor, min_count, quantiles))
-            else:
+            if band is None:
+                if kind == "histograms":
+                    continue
                 delta = float(current_value) - float(base_value)
                 diff.entries.append(DiffEntry(
                     name=name, kind=singular, status="ok",
                     base=float(base_value), current=float(current_value),
                     detail=f"delta {delta:+g}"))
+            elif kind == "histograms":
+                diff.entries.append(_diff_histogram(
+                    name, base_value or {}, current_value or {}, band))
+            else:
+                diff.entries.append(_compare(
+                    name, singular, float(base_value), float(current_value),
+                    band, ""))
+    return diff
+
+
+def gate_metrics(base_document: Dict[str, Any],
+                 current_document: Dict[str, Any]) -> MetricsDiff:
+    """``repro obs gate``: the metrics :data:`GATE_BANDS` covers, judged
+    under their rows, plus three rules of their own.
+
+    * A load test with fewer completed requests than its latency row's
+      minimum count, on either side, gives no verdict at all.
+    * Any failed load-test request in the current snapshot is a regression.
+    * Two snapshots with no gated metric are an error: a run that exported
+      nothing must not pass.
+    """
+    min_completed = GATE_BANDS[LOADTEST_LATENCY].min_count
+    for label, document in (("baseline", base_document),
+                            ("current", current_document)):
+        completed = _section(document, "counters").get(LOADTEST_COMPLETED)
+        if completed is not None and completed < min_completed:
+            return MetricsDiff(
+                no_verdict=f"{label} load test has only {completed} completed "
+                           f"requests (< {min_completed}); no verdict")
+    diff = diff_metrics(base_document, current_document, GATE_BANDS)
+    diff.entries = [entry for entry in diff.entries if entry.band is not None]
+    if not diff.entries:
+        raise ValidationError(
+            "no span histograms, load-test metrics or scenarios.build gauges "
+            "to gate — did the run export metrics?")
+    failed = _section(current_document, "counters").get(LOADTEST_FAILED, 0)
+    if failed:
+        diff.entries.append(DiffEntry(
+            name=LOADTEST_FAILED, kind="counter", status="regression",
+            current=float(failed), detail=f"{failed} failed requests"))
     return diff

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import builtins
-import contextlib
 import io
 import threading
 import time
@@ -45,9 +44,22 @@ _SAFE_BUILTINS: Dict[str, Any] = {name: getattr(builtins, name)
 def _safe_builtins() -> Dict[str, Any]:
     """A fresh copy of the builtins table, so a program that edits its
     builtins cannot affect the next one.  A controlled ``__import__`` that
-    honours the sandbox policy is installed per execution in
-    :meth:`ExecutionSandbox._execute`."""
+    honours the sandbox policy and a ``print`` bound to the execution's own
+    buffer are installed per execution in :meth:`ExecutionSandbox._execute`."""
     return dict(_SAFE_BUILTINS)
+
+
+def _print_to(buffer: io.StringIO):
+    """``print`` writing to *buffer* when no other file is named.
+
+    The process-wide ``sys.stdout`` is never swapped: concurrent executions
+    (thread pools, ``repro serve``) would capture each other's output, and
+    a runaway program would keep the swap after its timeout.
+    """
+    def _print(*values, sep=None, end=None, file=None, flush=False):
+        print(*values, sep=sep, end=end, flush=flush,
+              file=buffer if file is None else file)
+    return _print
 
 
 #: serializes ``ast.parse``/``compile``: CPython 3.11 can raise ``SystemError:
@@ -152,9 +164,10 @@ class ExecutionSandbox:
         start = time.perf_counter()
         exec_globals: Dict[str, Any] = dict(namespace or {})
         builtin_table = _safe_builtins()
-        builtin_table["__import__"] = self._restricted_import
-        exec_globals["__builtins__"] = builtin_table
         stdout_buffer = io.StringIO()
+        builtin_table["__import__"] = self._restricted_import
+        builtin_table["print"] = _print_to(stdout_buffer)
+        exec_globals["__builtins__"] = builtin_table
 
         policy = self.policy
         if cache_code:
@@ -171,8 +184,7 @@ class ExecutionSandbox:
 
         def _run() -> None:
             try:
-                with contextlib.redirect_stdout(stdout_buffer):
-                    exec(compiled, exec_globals)  # noqa: S102 - sandboxed by policy
+                exec(compiled, exec_globals)  # noqa: S102 - sandboxed by policy
             except BaseException as exc:  # noqa: BLE001 - captured and reported
                 error_holder["error"] = exc
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import FrozenSet, List, Optional
 
 from repro.utils.validation import ValidationError
@@ -60,18 +60,11 @@ class SandboxPolicy:
     forbidden_attributes: FrozenSet[str] = DEFAULT_FORBIDDEN_ATTRIBUTES
     max_source_lines: int = 400
     max_seconds: float = 10.0
-    max_operations: int = 5_000_000
 
     def with_extra_imports(self, *modules: str) -> "SandboxPolicy":
         """Return a copy of the policy that also allows importing *modules*."""
-        return SandboxPolicy(
-            allowed_imports=frozenset(self.allowed_imports) | set(modules),
-            forbidden_calls=self.forbidden_calls,
-            forbidden_attributes=self.forbidden_attributes,
-            max_source_lines=self.max_source_lines,
-            max_seconds=self.max_seconds,
-            max_operations=self.max_operations,
-        )
+        return replace(self, allowed_imports=frozenset(self.allowed_imports)
+                       | set(modules))
 
 
 class PolicyVisitor(ast.NodeVisitor):

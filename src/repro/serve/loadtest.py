@@ -16,11 +16,12 @@ The report combines both measurement sides:
 * client-side: exact nearest-rank p50/p95/p99 over per-request round-trip
   times, plus achieved throughput;
 * server-side: the ``span.serve.request.seconds`` histogram scraped from
-  ``GET /metrics`` — the PR-6 measurement substrate, with its log-bucket
-  percentile estimates.
+  ``GET /metrics``, with its log-bucket percentile estimates.
 
-``benchmarks/check_loadtest_regression.py`` gates CI on this report
-against the committed ``benchmarks/results/loadtest_baseline.json``.
+``--json`` writes the report as a metrics snapshot (:meth:`LoadTestReport.
+to_document`), and ``repro obs gate`` compares it with the committed
+``benchmarks/results/loadtest_baseline.json`` under the load-test rows of
+:data:`repro.obs.analyze.GATE_BANDS`.
 """
 
 from __future__ import annotations
@@ -33,12 +34,22 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.benchmark.queries import temporal_queries_for, temporal_scenario_names
+from repro.obs.analyze import (
+    LOADTEST_COMPLETED,
+    LOADTEST_FAILED,
+    LOADTEST_LATENCY,
+    LOADTEST_SECONDS_PER_REQUEST,
+)
 from repro.serve.http import request_json
 from repro.serve.service import ServerThread, ServiceConfig
 from repro.utils.validation import require
 
 #: the serve-side histogram the report scrapes
 SERVER_SPAN_METRIC = "span.serve.request.seconds"
+
+#: the name it is stored under in the report: not a ``span.`` name, so the
+#: gate judges the client-side numbers only
+SERVER_HISTOGRAM = "loadtest.server.seconds"
 
 
 @dataclass
@@ -146,22 +157,32 @@ class LoadTestReport:
         }
 
     def to_document(self) -> Dict[str, Any]:
-        """JSON-safe report — the schema the regression gate consumes."""
+        """The report as a metrics snapshot (``counters``/``gauges``/
+        ``histograms``), the shape ``repro obs gate`` reads."""
         def _round(value: Optional[float]) -> Optional[float]:
             return None if value is None else round(value, 6)
 
+        counters = {LOADTEST_COMPLETED: self.completed,
+                    LOADTEST_FAILED: self.failed,
+                    "loadtest.sent": self.sent}
+        for status, count in self.status_counts.items():
+            counters[f"loadtest.status.{status}"] = count
+        latency = {name: _round(value)
+                   for name, value in self.latency_summary().items()}
+        latency["count"] = self.completed
+        histograms = {LOADTEST_LATENCY: latency}
+        if self.server_histogram is not None:
+            histograms[SERVER_HISTOGRAM] = self.server_histogram
         return {
-            "target_qps": self.target_qps,
-            "duration_s": self.duration_s,
-            "sent": self.sent,
-            "completed": self.completed,
-            "failed": self.failed,
-            "wall_s": _round(self.wall_s),
-            "throughput_qps": _round(self.throughput_qps),
-            "latency_s": {name: _round(value)
-                          for name, value in self.latency_summary().items()},
-            "status_counts": dict(sorted(self.status_counts.items())),
-            "server_histogram": self.server_histogram,
+            "counters": counters,
+            "gauges": {
+                "loadtest.duration_s": self.duration_s,
+                "loadtest.target_qps": self.target_qps,
+                "loadtest.wall_s": _round(self.wall_s),
+                LOADTEST_SECONDS_PER_REQUEST: _round(
+                    self.wall_s / max(self.completed, 1)),
+            },
+            "histograms": histograms,
         }
 
     def render(self) -> str:

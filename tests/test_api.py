@@ -3,19 +3,19 @@
 The facade's contract: query resolution accepts corpus ids and free text,
 answers come from the exact benchmark workers (so facade verdicts equal
 batch-benchmark verdicts cell for cell), batches dedupe and keep request
-order, and the Zipf load-test mix plus its CI regression gate are
-deterministic functions of their inputs.
+order, and the Zipf load-test mix plus its CI regression gate (``repro
+obs gate`` on load-test snapshots) are deterministic functions of their
+inputs.
 """
 
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
 from repro import api
 from repro.api import QuerySpec, QueryAnswer
 from repro.benchmark.queries import temporal_queries_for
+from repro.cli.main import main
 from repro.exec import ExecutorPolicy
 from repro.serve.loadtest import (
     LoadTestConfig,
@@ -25,9 +25,6 @@ from repro.serve.loadtest import (
     zipf_weights,
 )
 from repro.utils.validation import ValidationError
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
-from check_loadtest_regression import main as loadtest_gate_main  # noqa: E402
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +187,10 @@ class TestLoadTestMix:
                                 latencies_s=[0.01] * 9,
                                 status_counts={"200": 9, "500": 1})
         document = report.to_document()
-        assert document["throughput_qps"] == 4.5
-        assert document["latency_s"]["p95"] == 0.01
+        # a metrics snapshot: throughput 4.5 qps is 2/9 s per request
+        assert document["gauges"]["loadtest.seconds_per_request"] == 0.222222
+        assert document["histograms"]["loadtest.latency.seconds"]["p95"] == 0.01
+        assert document["counters"]["loadtest.failed"] == 1
         assert json.loads(json.dumps(document)) == document
 
 
@@ -200,49 +199,45 @@ class TestLoadTestMix:
 # ---------------------------------------------------------------------------
 def _report(path, p95=0.010, throughput=8.0, completed=24, failed=0):
     document = {
-        "completed": completed, "failed": failed, "sent": completed + failed,
-        "throughput_qps": throughput,
-        "latency_s": {"p50": p95 / 2, "p95": p95, "p99": p95 * 1.2},
+        "counters": {"loadtest.completed": completed, "loadtest.failed": failed,
+                     "loadtest.sent": completed + failed},
+        "gauges": {"loadtest.seconds_per_request": 1.0 / throughput},
+        "histograms": {"loadtest.latency.seconds": {
+            "count": completed, "p50": p95 / 2, "p95": p95, "p99": p95 * 1.2}},
     }
     path.write_text(json.dumps(document), encoding="utf-8")
-    return path
+    return str(path)
 
 
 class TestLoadTestGate:
     def test_matching_reports_pass(self, tmp_path, capsys):
         base = _report(tmp_path / "base.json")
         current = _report(tmp_path / "cur.json")
-        assert loadtest_gate_main(["--report", str(current),
-                                   "--baseline", str(base)]) == 0
+        assert main(["obs", "gate", base, current]) == 0
 
     def test_p95_regression_fails(self, tmp_path):
         base = _report(tmp_path / "base.json", p95=0.010)
         current = _report(tmp_path / "cur.json", p95=0.080)  # 8x and >floor
-        assert loadtest_gate_main(["--report", str(current),
-                                   "--baseline", str(base)]) == 1
+        assert main(["obs", "gate", base, current]) == 1
 
     def test_abs_floor_shields_fast_paths(self, tmp_path):
         # 10x ratio but only +4.5ms absolute: runner noise, not a regression
         base = _report(tmp_path / "base.json", p95=0.0005)
         current = _report(tmp_path / "cur.json", p95=0.005)
-        assert loadtest_gate_main(["--report", str(current),
-                                   "--baseline", str(base)]) == 0
+        assert main(["obs", "gate", base, current]) == 0
 
     def test_throughput_collapse_fails(self, tmp_path):
         base = _report(tmp_path / "base.json", throughput=10.0)
         current = _report(tmp_path / "cur.json", throughput=1.0)
-        assert loadtest_gate_main(["--report", str(current),
-                                   "--baseline", str(base)]) == 1
+        assert main(["obs", "gate", base, current]) == 1
 
     def test_failed_requests_fail_the_gate(self, tmp_path):
         base = _report(tmp_path / "base.json")
         current = _report(tmp_path / "cur.json", failed=3)
-        assert loadtest_gate_main(["--report", str(current),
-                                   "--baseline", str(base)]) == 1
+        assert main(["obs", "gate", base, current]) == 1
 
     def test_too_few_samples_produce_no_verdict(self, tmp_path, capsys):
         base = _report(tmp_path / "base.json")
         current = _report(tmp_path / "cur.json", completed=3, p95=9.9)
-        assert loadtest_gate_main(["--report", str(current),
-                                   "--baseline", str(base)]) == 0
+        assert main(["obs", "gate", base, current]) == 0
         assert "no verdict" in capsys.readouterr().out

@@ -175,6 +175,52 @@ class TestEffectInference:
             "_collect", "_publish"]
 
 
+class TestProcessStateSeeds:
+    """Changes to process-wide state seed ``global-mutation`` and are never
+    excused by a lock: every thread reads that state without one."""
+
+    @pytest.mark.parametrize("body, name", [
+        ("with contextlib.redirect_stdout(buffer): pass",
+         "contextlib.redirect_stdout"),
+        ("with redirect_stderr(buffer): pass", "contextlib.redirect_stderr"),
+        ("sys.stdout = buffer", "sys.stdout"),
+        ("sys.stderr = buffer", "sys.stderr"),
+        ("os.chdir('/tmp')", "os.chdir"),
+        ("os.environ['MODE'] = 'fast'", "os.environ"),
+        ("os.environ.update(MODE='fast')", "os.environ"),
+    ])
+    def test_each_form_is_an_unlocked_process_site(self, tmp_path, body, name):
+        module = tmp_path / "swap.py"
+        module.write_text(
+            "import contextlib\nimport os\nimport sys\nimport threading\n"
+            "from contextlib import redirect_stderr\n"
+            "_LOCK = threading.Lock()\n"
+            "def swap(buffer):\n"
+            "    with _LOCK:\n"
+            f"        {body}\n")
+        project = effects.analyze_project(module, single_relpath="swap.py")
+        (site,) = project.mutation_sites["swap:swap"]
+        assert (site.name, site.kind, site.locked) == (name, "process", False)
+        assert effects.GLOBAL_MUTATION in project.effects_of("swap:swap")
+
+    def test_reading_process_state_is_not_a_change(self, tmp_path):
+        module = tmp_path / "read.py"
+        module.write_text("import sys\n"
+                          "def write(text):\n"
+                          "    sys.stdout.write(text)\n"
+                          "    print(text, file=sys.stderr)\n")
+        project = effects.analyze_project(module, single_relpath="read.py")
+        assert "read:write" not in project.mutation_sites
+
+    def test_stdout_swap_fixture_names_the_redirect(self):
+        project = fixture_project("effect_stdout_swap_bad.py")
+        sites = project.mutation_sites[
+            "effect_stdout_swap_bad:ExecutionSandbox.execute"]
+        assert [(site.name, site.kind) for site in sites] == [
+            ("contextlib.redirect_stdout", "process")]
+        assert not fixture_project("effect_stdout_swap_good.py").mutation_sites
+
+
 class TestEffectRules:
     def run(self, rule_id, name, relpath=None):
         clear_effect_cache()
@@ -206,6 +252,31 @@ class TestEffectRules:
         assert len(findings) == 1
         assert "_RESULTS" in findings[0].message
         assert "_collect -> _publish" in findings[0].message
+
+    def test_thread_reachable_stdout_swap_is_an_error(self):
+        findings = self.run("effect-thread-shared-state",
+                            "effect_stdout_swap_bad.py")
+        assert len(findings) == 1
+        assert findings[0].severity == SEVERITY_ERROR
+        assert "contextlib.redirect_stdout" in findings[0].message
+        assert "every thread sees" in findings[0].message
+        assert self.run("effect-thread-shared-state",
+                        "effect_stdout_swap_good.py") == []
+
+    def test_process_state_change_needs_no_thread_chain(self, tmp_path):
+        # the call graph leaves many method calls unresolved, so a swap is
+        # flagged even where no thread entry point is found to reach it
+        (tmp_path / "cli.py").write_text(
+            "import os\n"
+            "def enter(path):\n"
+            "    os.chdir(path)\n")
+        clear_effect_cache()
+        findings = analyze_file(tmp_path / "cli.py",
+                                rules=get_rules(["effect-thread-shared-state"]),
+                                relpath="cli.py")
+        assert [finding.line for finding in findings] == [3]
+        assert "os.chdir" in findings[0].message
+        assert "thread entry point" not in findings[0].message
 
     def test_obs_write_exempts_exporter_files(self):
         clear_effect_cache()

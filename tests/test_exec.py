@@ -9,6 +9,7 @@ process.
 import pytest
 
 from repro.exec import (
+    ExecutorPolicy,
     ParallelExecutor,
     ResultCache,
     SerialExecutor,
@@ -122,11 +123,12 @@ class TestEquivalence:
 
     def test_results_come_back_in_task_order(self):
         task_set = square_tasks(9)
-        report = run_tasks(task_set, jobs=3, chunk_size=1)
+        report = run_tasks(task_set,
+                           policy=ExecutorPolicy.processes(jobs=3, chunk_size=1))
         assert [result.key for result in report.results] == task_set.keys()
 
     def test_jobs_one_uses_serial_path(self):
-        report = run_tasks(square_tasks(3), jobs=1)
+        report = run_tasks(square_tasks(3), policy=ExecutorPolicy.serial())
         assert report.jobs == 1 and report.ok
 
     def test_serial_run_clears_worker_contexts(self):
@@ -141,7 +143,7 @@ class TestEquivalence:
                      "app": {"kind": "generated", "application": "traffic_analysis"},
                      "backend": "networkx", "query_id": "ta-e1", "model": "gpt-4",
                  })])
-        report = run_tasks(task_set, jobs=1)
+        report = run_tasks(task_set, policy=ExecutorPolicy.serial())
         assert report.ok
         # the memoized application must not outlive the serial dispatch
         assert not any(key[0] == "benchmark-application" for key in _CONTEXT_CACHE)
@@ -154,8 +156,8 @@ class TestCache:
     def test_first_run_misses_second_run_hits(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         task_set = square_tasks(6)
-        first = run_tasks(task_set, cache=cache)
-        second = run_tasks(task_set, cache=cache)
+        first = run_tasks(task_set, policy=ExecutorPolicy.serial(cache))
+        second = run_tasks(task_set, policy=ExecutorPolicy.serial(cache))
         assert first.cache_hits == 0 and first.executed == 6
         assert second.cache_hits == 6 and second.executed == 0
         assert first.values() == second.values()
@@ -166,8 +168,8 @@ class TestCache:
         task_set = TaskSet(name="logged", tasks=[
             Task(key="cell", fn="repro.exec.demo:record_and_echo",
                  payload={"value": 42, "log_path": str(log_path)})])
-        run_tasks(task_set, cache=cache)
-        run_tasks(task_set, cache=cache)
+        run_tasks(task_set, policy=ExecutorPolicy.serial(cache))
+        run_tasks(task_set, policy=ExecutorPolicy.serial(cache))
         # one execution despite two runs: the second was served from disk
         assert log_path.read_text().splitlines() == ["42"]
 
@@ -175,36 +177,37 @@ class TestCache:
         cache = ResultCache(tmp_path / "cache")
         original = TaskSet(name="one", tasks=[
             Task(key="cell", fn="repro.exec.demo:square", payload={"x": 3})])
-        run_tasks(original, cache=cache)
+        run_tasks(original, policy=ExecutorPolicy.serial(cache))
 
         changed_payload = TaskSet(name="one", tasks=[
             Task(key="cell", fn="repro.exec.demo:square", payload={"x": 4})])
-        report = run_tasks(changed_payload, cache=cache)
+        report = run_tasks(changed_payload, policy=ExecutorPolicy.serial(cache))
         assert report.cache_hits == 0 and report.values() == [16]
 
         changed_key = TaskSet(name="one", tasks=[
             Task(key="renamed-cell", fn="repro.exec.demo:square", payload={"x": 3})])
-        report = run_tasks(changed_key, cache=cache)
+        report = run_tasks(changed_key, policy=ExecutorPolicy.serial(cache))
         assert report.cache_hits == 0 and report.values() == [9]
 
     def test_failures_are_never_cached(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         task_set = TaskSet(name="boom", tasks=[
             Task(key="bad", fn="repro.exec.demo:boom", payload={})])
-        run_tasks(task_set, cache=cache)
+        run_tasks(task_set, policy=ExecutorPolicy.serial(cache))
         assert len(cache) == 0
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         task = Task(key="cell", fn="repro.exec.demo:square", payload={"x": 5})
-        run_tasks(TaskSet(name="one", tasks=[task]), cache=cache)
+        run_tasks(TaskSet(name="one", tasks=[task]), policy=ExecutorPolicy.serial(cache))
         cache.entry_path(task.digest()).write_bytes(b"not a pickle")
-        report = run_tasks(TaskSet(name="one", tasks=[task]), cache=cache)
+        report = run_tasks(TaskSet(name="one", tasks=[task]),
+                           policy=ExecutorPolicy.serial(cache))
         assert report.cache_hits == 0 and report.values() == [25]
 
     def test_clear(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        run_tasks(square_tasks(4), cache=cache)
+        run_tasks(square_tasks(4), policy=ExecutorPolicy.serial(cache))
         assert len(cache) == 4
         assert cache.clear() == 4
         assert len(cache) == 0
@@ -216,7 +219,8 @@ class TestCache:
         tasks = [Task(key=f"cell-{i}", fn="repro.exec.demo:square",
                       payload={"x": i}) for i in range(3)]
         for index, task in enumerate(tasks):
-            run_tasks(TaskSet(name="one", tasks=[task]), cache=cache)
+            run_tasks(TaskSet(name="one", tasks=[task]),
+                      policy=ExecutorPolicy.serial(cache))
             # spread mtimes so LRU order is unambiguous on coarse filesystems
             os.utime(cache.entry_path(task.digest()), (index, index))
         assert len(cache) == 3
@@ -227,7 +231,8 @@ class TestCache:
 
         newcomer = Task(key="cell-9", fn="repro.exec.demo:square",
                         payload={"x": 9})
-        run_tasks(TaskSet(name="one", tasks=[newcomer]), cache=cache)
+        run_tasks(TaskSet(name="one", tasks=[newcomer]),
+                  policy=ExecutorPolicy.serial(cache))
         assert len(cache) == 3
         assert cache.get(tasks[0].digest())[0]        # refreshed: survives
         assert not cache.get(tasks[1].digest())[0]    # stalest: evicted
@@ -240,7 +245,8 @@ class TestCache:
         for batch in range(4):
             tasks = [Task(key=f"cell-{batch}-{i}", fn="repro.exec.demo:square",
                           payload={"x": batch * 10 + i}) for i in range(4)]
-            run_tasks(TaskSet(name=f"run-{batch}", tasks=tasks), cache=cache)
+            run_tasks(TaskSet(name=f"run-{batch}", tasks=tasks),
+                      policy=ExecutorPolicy.serial(cache))
             assert len(cache) <= 5
         assert len(cache) == 5
 
@@ -257,7 +263,7 @@ class TestCache:
 
         cache = ResultCache(tmp_path / "cache")
         task = Task(key="cell", fn="repro.exec.demo:square", payload={"x": 6})
-        run_tasks(TaskSet(name="one", tasks=[task]), cache=cache)
+        run_tasks(TaskSet(name="one", tasks=[task]), policy=ExecutorPolicy.serial(cache))
 
         def vanished(*args, **kwargs):
             raise OSError("entry evicted concurrently")
@@ -281,14 +287,16 @@ class TestCache:
         ordered = sorted([first, second],
                          key=lambda task: str(cache.entry_path(task.digest())))
         first, second = ordered[-1], ordered[0]
-        run_tasks(TaskSet(name="one", tasks=[first]), cache=cache)
-        run_tasks(TaskSet(name="one", tasks=[second]), cache=cache)
+        run_tasks(TaskSet(name="one", tasks=[first]), policy=ExecutorPolicy.serial(cache))
+        run_tasks(TaskSet(name="one", tasks=[second]),
+                  policy=ExecutorPolicy.serial(cache))
         # collapse both entries onto one timestamp granule
         for task in (first, second):
             os.utime(cache.entry_path(task.digest()), ns=(1_000_000_000,
                                                           1_000_000_000))
         newcomer = Task(key="mm-third", fn="repro.exec.demo:square", payload={"x": 4})
-        run_tasks(TaskSet(name="one", tasks=[newcomer]), cache=cache)
+        run_tasks(TaskSet(name="one", tasks=[newcomer]),
+                  policy=ExecutorPolicy.serial(cache))
         assert len(cache) == 2
         assert not cache.get(first.digest())[0]   # oldest store: evicted
         assert cache.get(second.digest())[0]      # newer store: survives
@@ -304,7 +312,8 @@ class TestFailures:
             Task(key="bad", fn="repro.exec.demo:boom", payload={"message": "kapow"}),
             Task(key="good", fn="repro.exec.demo:square", payload={"x": 2}),
         ])
-        report = run_tasks(task_set, jobs=2, chunk_size=1)
+        report = run_tasks(task_set,
+                           policy=ExecutorPolicy.processes(jobs=2, chunk_size=1))
         assert not report.ok
         assert "kapow" in report.results[0].error
         assert report.results[1].ok and report.results[1].value == 4
@@ -320,7 +329,8 @@ class TestFailures:
             Task(key="ok-1", fn="repro.exec.demo:square", payload={"x": 5}, group="b"),
             Task(key="ok-2", fn="repro.exec.demo:square", payload={"x": 6}, group="c"),
         ])
-        report = run_tasks(task_set, jobs=2, chunk_size=1)
+        report = run_tasks(task_set,
+                           policy=ExecutorPolicy.processes(jobs=2, chunk_size=1))
         by_key = {result.key: result for result in report.results}
         assert not by_key["crash"].ok
         assert "crashed" in by_key["crash"].error
@@ -329,7 +339,8 @@ class TestFailures:
 
     def test_serial_executor_also_captures_exceptions(self):
         report = run_tasks(TaskSet(name="boom", tasks=[
-            Task(key="bad", fn="repro.exec.demo:boom", payload={})]), jobs=1)
+            Task(key="bad", fn="repro.exec.demo:boom", payload={})]),
+            policy=ExecutorPolicy.serial())
         assert not report.ok and "boom" in report.results[0].error
 
 
@@ -340,8 +351,8 @@ class TestRunReport:
     def test_telemetry_fields(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         task_set = square_tasks(4)
-        run_tasks(task_set, cache=cache)
-        report = run_tasks(task_set, cache=cache)
+        run_tasks(task_set, policy=ExecutorPolicy.serial(cache))
+        report = run_tasks(task_set, policy=ExecutorPolicy.serial(cache))
         dumped = report.to_dict()
         assert dumped["tasks"] == 4
         assert dumped["cache_hits"] == 4

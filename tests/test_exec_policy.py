@@ -2,15 +2,13 @@
 
 Covers mode resolution (fixed modes, ``auto`` per task-set profile and
 host core count), the thread executor's byte-identity with serial runs on
-both the static benchmark and the temporal suite, worker-context retention
-(``keep_contexts``), and the one-release deprecation shims for the
-pre-policy ``jobs``/``cache``/``chunk_size`` kwargs.
+both the static benchmark and the temporal suite, and worker-context
+retention (``keep_contexts``).
 """
 
 import pytest
 
 from repro.benchmark.runner import BenchmarkConfig, BenchmarkRunner
-from repro.cost import CostAnalyzer
 from repro.exec import (
     PROFILE_CPU,
     PROFILE_LATENCY,
@@ -22,7 +20,6 @@ from repro.exec import (
     ThreadExecutor,
     run_tasks,
 )
-from repro.exec.api import ExecutionOptions, run_with_options
 from repro.exec.workers import _CONTEXT_CACHE, clear_worker_contexts
 from repro.utils.validation import ValidationError
 
@@ -78,10 +75,6 @@ class TestModeResolution:
         assert isinstance(
             ExecutorPolicy.auto(jobs=2).build_executor(tasks, cpu_count=1),
             ThreadExecutor)
-
-    def test_from_legacy_is_never_auto(self):
-        assert ExecutorPolicy.from_legacy(jobs=1).mode == "serial"
-        assert ExecutorPolicy.from_legacy(jobs=4).mode == "processes"
 
     def test_validate_rejects_bad_values(self):
         with pytest.raises(ValidationError):
@@ -159,48 +152,3 @@ class TestContextRetention:
             assert _CONTEXT_CACHE  # the warm path the serve layer relies on
         finally:
             clear_worker_contexts()
-
-
-# ---------------------------------------------------------------------------
-# deprecation shims (one release)
-# ---------------------------------------------------------------------------
-class TestDeprecationShims:
-    def test_run_tasks_legacy_kwargs_warn_and_match_policy(self):
-        tasks = square_tasks()
-        with pytest.warns(DeprecationWarning, match="policy=ExecutorPolicy"):
-            legacy = run_tasks(tasks, jobs=2)
-        fresh = run_tasks(tasks, policy=ExecutorPolicy.processes(jobs=2))
-        assert legacy.values() == fresh.values()
-
-    def test_run_tasks_rejects_policy_plus_legacy_kwargs(self):
-        with pytest.raises(ValidationError, match="both policy="):
-            run_tasks(square_tasks(), jobs=2, policy=ExecutorPolicy.serial())
-
-    def test_run_with_options_warns_and_matches(self):
-        tasks = square_tasks()
-        with pytest.warns(DeprecationWarning, match="run_with_options"):
-            legacy = run_with_options(tasks, ExecutionOptions(jobs=2))
-        assert legacy.values() == run_tasks(tasks).values()
-
-    def test_execution_options_to_policy_mirrors_legacy(self):
-        policy = ExecutionOptions(jobs=3, cache="somewhere").to_policy()
-        assert policy.mode == "processes"
-        assert policy.jobs == 3
-        assert policy.cache == "somewhere"
-
-    def test_benchmark_runner_execution_kwarg_warns(self):
-        with pytest.warns(DeprecationWarning, match="policy=ExecutorPolicy"):
-            runner = BenchmarkRunner(small_config(),
-                                     execution=ExecutionOptions(jobs=2))
-        assert runner.policy.mode == "processes"
-        with pytest.raises(ValidationError):
-            BenchmarkRunner(small_config(), execution=ExecutionOptions(),
-                            policy=ExecutorPolicy.serial())
-
-    def test_cost_analyzer_execution_kwarg_warns(self):
-        with pytest.warns(DeprecationWarning, match="policy=ExecutorPolicy"):
-            analyzer = CostAnalyzer(execution=ExecutionOptions(jobs=2))
-        assert analyzer.policy.mode == "processes"
-        with pytest.raises(ValidationError):
-            CostAnalyzer(execution=ExecutionOptions(),
-                         policy=ExecutorPolicy.serial())

@@ -1,7 +1,8 @@
 """Tests for the observability analysis layer: ``repro.obs.analyze``
 (self-time, critical path, noise-banded diffing), ``repro.obs.ledger``
 (the per-run record store), ``repro.obs.sample`` (resource gauges), the
-``repro obs`` CLI group, and the CI span-regression gate.
+``repro obs`` CLI group, and the CI gate (``repro obs gate``) on span
+histograms.
 
 The acceptance criteria of the layer live here too: an injected 5x p95
 slowdown must flag (nonzero exit) while two identical snapshots stay
@@ -9,7 +10,6 @@ inside the noise band (exit 0), and serial vs ``--jobs 2`` results stay
 byte-identical with the ledger and the sampler enabled."""
 
 import json
-import sys
 from pathlib import Path
 
 import pytest
@@ -39,9 +39,6 @@ from repro.obs import (
 from repro.obs.analyze import render_latency_table, render_report
 from repro.obs.sample import COUNTER_SAMPLES, GAUGE_CPU_SECONDS, GAUGE_MAX_RSS
 from repro.utils.validation import ValidationError
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
-from check_span_regression import main as span_gate_main  # noqa: E402
 
 
 @pytest.fixture(autouse=True)
@@ -458,7 +455,7 @@ class TestObsCli:
 
 
 # ---------------------------------------------------------------------------
-# the CI span-regression gate
+# the CI gate (repro obs gate)
 # ---------------------------------------------------------------------------
 class TestSpanRegressionGate:
     def _write(self, path, document):
@@ -468,14 +465,14 @@ class TestSpanRegressionGate:
     def test_gate_passes_when_spans_match_the_baseline(self, tmp_path, capsys):
         baseline = self._write(tmp_path / "base.json", _metrics_snapshot())
         current = self._write(tmp_path / "now.json", _metrics_snapshot())
-        assert span_gate_main(["--metrics", current, "--baseline", baseline]) == 0
+        assert main(["obs", "gate", baseline, current]) == 0
         assert "within" in capsys.readouterr().out
 
     def test_gate_fails_on_an_injected_slowdown(self, tmp_path, capsys):
         baseline = self._write(tmp_path / "base.json", _metrics_snapshot(p95=0.1))
         current = self._write(tmp_path / "now.json",
                               _metrics_snapshot(p95=0.1 * 10))
-        assert span_gate_main(["--metrics", current, "--baseline", baseline]) == 1
+        assert main(["obs", "gate", baseline, current]) == 1
         assert "REGRESSION" in capsys.readouterr().out
 
     def test_new_and_removed_spans_never_fail_the_gate(self, tmp_path, capsys):
@@ -485,7 +482,7 @@ class TestSpanRegressionGate:
         current = self._write(
             tmp_path / "now.json", _metrics_snapshot(extra_histograms={
                 "span.fresh.seconds": _histogram_snapshot(0.1, 0.2, 0.3)}))
-        assert span_gate_main(["--metrics", current, "--baseline", baseline]) == 0
+        assert main(["obs", "gate", baseline, current]) == 0
         out = capsys.readouterr().out
         assert "NEW" in out and "REMOVED" in out
 
@@ -493,8 +490,29 @@ class TestSpanRegressionGate:
         empty = {"counters": {}, "gauges": {}, "histograms": {}}
         baseline = self._write(tmp_path / "base.json", empty)
         current = self._write(tmp_path / "now.json", empty)
-        assert span_gate_main(["--metrics", current, "--baseline", baseline]) == 1
+        assert main(["obs", "gate", baseline, current]) == 1
         assert "no span histograms" in capsys.readouterr().err
+
+    def test_topology_generation_gates_at_3x(self, tmp_path, capsys):
+        def snapshot(seconds):
+            return {"counters": {}, "histograms": {},
+                    "gauges": {"scenarios.build.ring.seconds": seconds,
+                               "scenarios.size.ring.nodes": 200}}
+        baseline = self._write(tmp_path / "base.json", snapshot(0.001))
+        slower = self._write(tmp_path / "slower.json", snapshot(0.0029))
+        assert main(["obs", "gate", baseline, slower]) == 0
+        collapsed = self._write(tmp_path / "collapsed.json", snapshot(0.004))
+        assert main(["obs", "gate", baseline, collapsed]) == 1
+        assert "scenarios.build.ring.seconds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["loadtest_baseline.json",
+                                      "scenarios_throughput.json"])
+    def test_committed_gate_baselines_pass_against_themselves(self, name,
+                                                              capsys):
+        path = str(Path(__file__).resolve().parent.parent
+                   / "benchmarks" / "results" / name)
+        assert main(["obs", "gate", path, path]) == 0
+        assert "WITHIN NOISE BAND" in capsys.readouterr().out
 
     def test_committed_baseline_has_the_expected_shape(self):
         baseline_path = (Path(__file__).resolve().parent.parent

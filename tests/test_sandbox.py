@@ -1,5 +1,8 @@
 """Tests for the execution sandbox (policy checks and restricted execution)."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.sandbox import (
@@ -94,6 +97,56 @@ class TestExecutionSandbox:
     def test_stdout_captured(self):
         outcome = ExecutionSandbox().execute("print('hello')\nresult = 1", {})
         assert "hello" in outcome.stdout
+
+    def test_print_keywords_and_file_none_land_in_the_buffer(self):
+        outcome = ExecutionSandbox().execute(
+            "print('a', 'b', sep='-', end='!')\nprint('c', file=None)", {})
+        assert outcome.stdout == "a-b!c\n"
+
+    def test_concurrent_executions_capture_only_their_own_output(self):
+        """Six programs print, meet at a barrier while all six run, and
+        print again: each buffer holds only its own lines, and the
+        process-wide stdout is never swapped."""
+        stdout_before = sys.stdout
+        barrier = threading.Barrier(6, timeout=10)
+        source = "print(token)\nbarrier.wait()\nprint(token)\n"
+        outputs = {}
+
+        def run(index):
+            for round_index in range(3):
+                token = f"t{index}-{round_index}"
+                outcome = ExecutionSandbox().execute(
+                    source, {"token": token, "barrier": barrier})
+                outputs[token] = outcome.stdout
+
+        threads = [threading.Thread(target=run, args=(index,))
+                   for index in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(outputs) == 18
+        assert {token: text for token, text in outputs.items()
+                if text != f"{token}\n{token}\n"} == {}
+        assert sys.stdout is stdout_before
+
+    def test_stdout_is_untouched_after_a_timeout(self):
+        """A program still running after its timeout keeps printing into
+        its own buffer, not into a swapped process-wide stdout."""
+        stdout_before = sys.stdout
+        release, finished = threading.Event(), threading.Event()
+        outcome = ExecutionSandbox(SandboxPolicy(max_seconds=0.05)).execute(
+            "print('early')\nrelease.wait()\nprint('late')\nfinished.set()\n",
+            {"release": release, "finished": finished})
+        try:
+            assert outcome.error_type == "SandboxTimeout"
+            assert outcome.stdout == "early\n"
+            assert sys.stdout is stdout_before
+        finally:
+            release.set()
+            assert finished.wait(timeout=10)
+        assert sys.stdout is stdout_before
 
     def test_syntax_error_reported(self):
         outcome = ExecutionSandbox().execute("for x in (:", {})
