@@ -14,13 +14,13 @@ def read_version() -> str:
 
 
 setup(
-    name="repro-nemo",
+    name="repro",
     version=read_version(),
     description="Reproduction of 'Enhancing Network Management Using Code "
                 "Generated by Large Language Models' (HotNets 2023)",
     author="paper-repo-growth",
     license="MIT",
-    python_requires=">=3.8",
+    python_requires=">=3.9",
     package_dir={"": "src"},
     packages=find_packages("src"),
     install_requires=["networkx"],

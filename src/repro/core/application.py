@@ -17,7 +17,7 @@ from functools import partial
 from itertools import chain
 from operator import is_
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
-from weakref import WeakKeyDictionary, WeakSet
+from weakref import WeakKeyDictionary
 
 import networkx as nx
 
@@ -30,6 +30,7 @@ from repro.graph.convert import (
     from_sql_database,
     to_frames,
     to_networkx,
+    Writes,
 )
 from repro.sqlengine import Database
 
@@ -66,72 +67,19 @@ def _same_layout(left: Dict[Any, Any], right: Dict[Any, Any], depth: int) -> boo
     return _same_objects(lefts, rights)
 
 
-def _mirrors(nx_graph: Any, graph: PropertyGraph) -> bool:
-    """True when *nx_graph* holds exactly what ``to_networkx(graph)`` puts
-    in a new graph, in the same order."""
-    expected = dict(graph.graph_attributes, name=graph.name)
-    return (type(nx_graph) is (nx.DiGraph if graph.directed else nx.Graph)
-            and _same_layout(nx_graph.graph, expected, 1)
-            and _same_layout(nx_graph._node, graph._nodes, 2)
-            and _same_layout(nx_graph._adj, graph._succ, 3))
-
-
 #: what a new networkx graph keeps in its ``__dict__``, in order
 _STORAGE = {kind: tuple(vars(kind())) for kind in (nx.Graph, nx.DiGraph)}
 
-#: the dicts a networkx graph stores its contents in, with how many levels
-#: of nested dicts each one has
-_TREES = (("graph", 1), ("_node", 2), ("_adj", 3), ("_pred", 2))
-
-#: guards the idle recycled networkx view, the layouts of the views handed
-#: out and the set of those read back unwritten
+#: guards the idle recycled networkx view and the views handed out, which
+#: map to (their :func:`_head` then, their ``Writes``)
 _VIEW_LOCK = threading.Lock()
 _IDLE_VIEW = "idle networkx view"
-_VIEW_LAYOUTS = "networkx view layouts"
-_UNWRITTEN_VIEWS = "networkx views read back unwritten"
-
-#: a networkx graph's layout: its type and storage attributes, then, for
-#: every level of its storage dicts, (the dicts, their sizes, their keys,
-#: their values)
-_Layout = Tuple[List[Any], List[Tuple[List[Any], List[int], List[Any], List[Any]]]]
+_VIEWS = "networkx views"
 
 
-def _layout(nx_graph: Any) -> _Layout:
-    """Every object *nx_graph* stores, in storage order: its type and
-    storage attributes, then, level by level down its graph, node,
-    successor and predecessor dicts (an undirected graph has none of the
-    last), the dicts of the level and their sizes, keys and values."""
-    kind, state = type(nx_graph), vars(nx_graph)
-    storage = _STORAGE[kind]
-    levels = []
-    for name, depth in _TREES:
-        if name in storage:
-            dicts = [state[name]]
-            for _ in range(depth):
-                values = list(chain.from_iterable(map(dict.values, dicts)))
-                levels.append((dicts, list(map(len, dicts)),
-                               list(chain.from_iterable(dicts)), values))
-                dicts = values
-    return [kind, *map(state.get, storage)], levels
-
-
-def _holds_layout(nx_graph: Any, layout: _Layout) -> bool:
-    """True when *nx_graph* still stores what *layout* (its :func:`_layout`)
-    recorded: the same objects in the same dicts, places and order.
-
-    The walk goes down the recorded dicts, each of which the level above
-    showed to be the graph's own, so it builds nothing.  A graph that
-    passes holds exactly what it held then, ``_pred`` key order and each
-    ``_pred[t][s]`` being ``_adj[s][t]`` included; its other attributes
-    (networkx's cached views, or any a program set) are not looked at.
-    """
-    head, levels = layout
-    kind, state = type(nx_graph), vars(nx_graph)
-    return (_same_objects([kind, *map(state.get, _STORAGE.get(kind, ()))], head)
-            and all(list(map(len, dicts)) == sizes
-                    and _same_objects(chain.from_iterable(dicts), keys)
-                    and _same_objects(chain.from_iterable(map(dict.values, dicts)), values)
-                    for dicts, sizes, keys, values in levels))
+def _head(nx_graph: Any) -> List[Any]:
+    """The type of a ``Graph``/``DiGraph`` and its storage attributes."""
+    return [type(nx_graph), *map(vars(nx_graph).get, _STORAGE[type(nx_graph)])]
 
 
 def _same_cells(frame: Any, frozen: DataFrame) -> bool:
@@ -196,9 +144,11 @@ class NetworkApplication(abc.ABC):
     converts to.  For a view the query wrote nothing to, that graph is built
     once per current graph and shares the current graph's storage, so it
     is one object for every such query and must not be mutated either.
+    SQL and networkx views report their own writes; frames are compared
+    cell by cell.
 
-    A networkx view is the one view that costs a full conversion.  One that
-    its query left as new can be handed back (:meth:`recycle_networkx_view`)
+    A networkx view is the one view that costs a full conversion.  One
+    nothing was written to can be handed back (:meth:`recycle_networkx_view`)
     by a caller that keeps nothing referring into it; it is then the next
     :meth:`networkx_view`, taken by one caller only.  At most one view
     waits, and :meth:`sync_state` drops it with the other entries.
@@ -247,30 +197,38 @@ class NetworkApplication(abc.ABC):
 
     def networkx_view(self):
         """The state as a ``networkx`` graph (NetworkX backend input): the
-        idle recycled view when there is one, else a new conversion, whose
-        :func:`_layout` is recorded for :meth:`read_networkx_view`."""
+        idle recycled view when there is one, else a new conversion whose
+        dicts record writes to them (:class:`~repro.graph.convert.Writes`)."""
         entries = self._entries()
         with _VIEW_LOCK:
             view = entries.pop(_IDLE_VIEW, None)
         if view is None:
-            view = to_networkx(self._graph)
-            layout = _layout(view)
+            writes = Writes()
+            view = to_networkx(self._graph, writes=writes)
             with _VIEW_LOCK:
-                entries.setdefault(_VIEW_LAYOUTS, WeakKeyDictionary())[view] = layout
+                entries.setdefault(_VIEWS, WeakKeyDictionary())[view] = (_head(view), writes)
         return view
+
+    def _unwritten(self, nx_graph) -> bool:
+        """True when *nx_graph* is a :meth:`networkx_view` of the current
+        graph that still stores in the dicts it was built with, unwritten."""
+        if type(nx_graph) not in _STORAGE:
+            return False
+        with _VIEW_LOCK:
+            head, writes = self._entries().get(_VIEWS, {}).get(nx_graph, (None, None))
+        return (writes is not None and not writes.written
+                and _same_objects(_head(nx_graph), head))
 
     def recycle_networkx_view(self, nx_graph) -> None:
         """Keep *nx_graph*, a :meth:`networkx_view` a query has finished
         with, for the next :meth:`networkx_view` call if it is as good as
-        new.
+        new (:meth:`_unwritten`).
 
-        The view is kept only when :meth:`read_networkx_view` read it back
-        after the query's program ran without error, and found it holding
-        what it was handed out with.  Its attributes besides its storage
-        are deleted, kept or not, and a kept view's ``__networkx_cache__``
-        is emptied.  At most one view is kept.  The caller gives the view
-        up, together with everything that refers into it (the program's
-        result and namespace): the next query may write to it.
+        Its attributes besides its storage are deleted, kept or not, and a
+        kept view's ``__networkx_cache__`` is emptied.  At most one view is
+        kept.  The caller gives the view up, together with everything that
+        refers into it (the program's result and namespace): the next query
+        may write to it.
         """
         if type(nx_graph) not in _STORAGE:
             return
@@ -279,16 +237,11 @@ class NetworkApplication(abc.ABC):
         state = vars(nx_graph)
         for name in [name for name in state if name not in _STORAGE[type(nx_graph)]]:
             del state[name]
-        entries = self._entries()
-        with _VIEW_LOCK:
-            unwritten = entries.get(_UNWRITTEN_VIEWS, set())
-            keep = nx_graph in unwritten
-            unwritten.discard(nx_graph)
-        if keep:
+        if self._unwritten(nx_graph):
             if "__networkx_cache__" in state:
                 state["__networkx_cache__"].clear()
             with _VIEW_LOCK:
-                entries.setdefault(_IDLE_VIEW, nx_graph)
+                self._entries().setdefault(_IDLE_VIEW, nx_graph)
 
     def frame_view(self):
         """The state as ``(node_frame, edge_frame)`` (pandas-style backend input)."""
@@ -302,29 +255,14 @@ class NetworkApplication(abc.ABC):
     def read_networkx_view(self, nx_graph) -> PropertyGraph:
         """The graph a :meth:`networkx_view` holds after a query ran on it.
 
-        A view built for the current graph is unwritten when it still holds
-        its recorded layout (:func:`_holds_layout`), and may then be
-        recycled.  Any other graph (``G`` rebound by the program, say) is
-        unwritten when :func:`_mirrors` finds it holding what the current
-        graph holds.
+        A view nothing was written to (:meth:`_unwritten`) takes the
+        unwritten read-back; any other graph (``G`` rebound by the program,
+        say) is converted.
         """
         convert = partial(from_networkx, nx_graph)
-        layout = None
-        if type(nx_graph) in _STORAGE:
-            entries = self._entries()
-            with _VIEW_LOCK:
-                layout = entries.get(_VIEW_LAYOUTS, {}).get(nx_graph)
-        if layout is not None:
-            unwritten = _holds_layout(nx_graph, layout)
-            with _VIEW_LOCK:
-                views = entries.setdefault(_UNWRITTEN_VIEWS, WeakSet())
-                if unwritten:
-                    views.add(nx_graph)
-                else:  # written since an earlier read, if there was one
-                    views.discard(nx_graph)
-        else:
-            unwritten = _mirrors(nx_graph, self._graph)
-        return self._unwritten_read_back("networkx", convert) if unwritten else convert()
+        if self._unwritten(nx_graph):
+            return self._unwritten_read_back("networkx", convert)
+        return convert()
 
     def read_frame_view(self, node_frame: DataFrame, edge_frame: DataFrame) -> PropertyGraph:
         """The graph a :meth:`frame_view` holds after a query ran on it."""

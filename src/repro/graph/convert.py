@@ -21,6 +21,7 @@ import networkx as nx
 from repro.frames import DataFrame
 from repro.graph.model import PropertyGraph
 from repro.sqlengine import Database, Table
+from repro.utils import DICT_MUTATORS
 
 
 NODE_ID_COLUMN = "id"
@@ -72,23 +73,75 @@ def _store(nodes: Dict, succ: Dict, pred: Dict, directed: bool,
 # ---------------------------------------------------------------------------
 # NetworkX
 # ---------------------------------------------------------------------------
-def to_networkx(graph: PropertyGraph, force_directed: bool = False):
+class Writes:
+    """Whether the dicts of one tracked networkx graph were written to."""
+
+    written = False
+
+
+class TrackedDict(dict):
+    """A ``dict`` that marks its :class:`Writes` (``writes``) written
+    whenever one of its mutators runs, even one that changes nothing.
+
+    Reads stay plain dict reads.  Like ``ReadOnlyDict``, its ``copy()``,
+    ``copy.copy``/``deepcopy`` and pickled form are ordinary dicts.
+    """
+
+    __slots__ = ("writes",)
+
+    def __reduce__(self):
+        return (dict, (dict(self),))
+
+
+def _tracking(mutator):
+    def tracked(self, *args, **kwargs):
+        self.writes.written = True
+        return mutator(self, *args, **kwargs)
+    return tracked
+
+
+for _name in DICT_MUTATORS:
+    setattr(TrackedDict, _name, _tracking(getattr(dict, _name)))
+
+
+def to_networkx(graph: PropertyGraph, force_directed: bool = False,
+                writes: Optional[Writes] = None):
     """Convert to ``networkx.DiGraph`` (or ``Graph`` for undirected graphs).
 
     With *force_directed* an undirected graph is also exposed as a
     ``DiGraph`` holding exactly the stored edge orientation — used by the
     timeline-aware synthesis namespace, where snapshot diffs are defined
     over raw stored tuples.
+
+    With *writes*, every dict the graph stores its contents in (``graph``,
+    ``_node``, ``_adj``/``_succ``, ``_pred``, each of their rows and each
+    attribute dict) is a :class:`TrackedDict` reporting to *writes*.  The
+    graph holds the same keys and values, in the same order, either way.
     """
     directed = graph.directed or force_directed
     nx_graph = nx.DiGraph() if directed else nx.Graph()
-    nx_graph.graph.update(graph.graph_attributes)
-    nx_graph.graph["name"] = graph.name
+    if writes is None:
+        new = dict
+    else:
+        def new(items):
+            tracked = TrackedDict(items)
+            tracked.writes = writes
+            return tracked
+    nx_graph.graph = new(dict(graph.graph_attributes, name=graph.name))
     _store(nx_graph._node, nx_graph._adj, nx_graph._pred if directed else nx_graph._adj,
            directed,
-           ((node_id, dict(attrs)) for node_id, attrs in graph._nodes.items()),
-           ((source, target, dict(attrs))
+           ((node_id, new(attrs)) for node_id, attrs in graph._nodes.items()),
+           ((source, target, new(attrs))
             for source, target, attrs in graph.edges(data=True)))
+    if writes is not None:
+        # a tracked row would record every store into it as a write, so the
+        # rows are filled as plain dicts and then copied one at a time
+        for table in (nx_graph._adj, nx_graph._pred) if directed else (nx_graph._adj,):
+            for node, row in table.items():
+                table[node] = new(row)
+        nx_graph._node, nx_graph._adj = new(nx_graph._node), new(nx_graph._adj)
+        if directed:
+            nx_graph._succ, nx_graph._pred = nx_graph._adj, new(nx_graph._pred)
     return nx_graph
 
 

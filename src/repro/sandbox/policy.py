@@ -6,6 +6,7 @@ import ast
 from dataclasses import dataclass, replace
 from typing import FrozenSet, List, Optional
 
+from repro.utils import DICT_MUTATORS
 from repro.utils.validation import ValidationError
 
 
@@ -48,6 +49,8 @@ DEFAULT_FORBIDDEN_ATTRIBUTES: FrozenSet[str] = frozenset({
     "__globals__", "__builtins__", "__subclasses__", "__bases__", "__mro__",
     "__code__", "__closure__", "__getattribute__", "__reduce__", "__reduce_ex__",
     "__class__", "__dict__", "__loader__", "__spec__",
+    # a networkx view's dicts record writes through their own methods
+    "__setitem__", "__delitem__", "__ior__", "__init__",
 })
 
 
@@ -107,6 +110,10 @@ class PolicyVisitor(ast.NodeVisitor):
     def visit_Attribute(self, node: ast.Attribute) -> None:
         if node.attr in self.policy.forbidden_attributes:
             self._record(node, f"access to attribute {node.attr!r} is not allowed")
+        elif (isinstance(node.value, ast.Name) and node.value.id == "dict"
+              and node.attr in DICT_MUTATORS):
+            # dict.update(d, ...) would write to d behind its own methods
+            self._record(node, f"access to dict.{node.attr} is not allowed")
         self.generic_visit(node)
 
     def visit_Name(self, node: ast.Name) -> None:
@@ -116,18 +123,6 @@ class PolicyVisitor(ast.NodeVisitor):
 
     def visit_Global(self, node: ast.Global) -> None:
         self._record(node, "the 'global' statement is not allowed")
-
-    def visit_Nonlocal(self, node: ast.Nonlocal) -> None:  # noqa: D102
-        self.generic_visit(node)
-
-    def visit_With(self, node: ast.With) -> None:
-        # `with open(...)` is already caught by the call check; other context
-        # managers over exposed objects are fine.
-        self.generic_visit(node)
-
-
-#: backward-compatible private alias (pre-analysis callers)
-_PolicyVisitor = PolicyVisitor
 
 
 def _call_name(node: ast.Call) -> Optional[str]:

@@ -73,6 +73,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.sandbox import ExecutionOutcome, ExecutionSandbox
 from repro.synthesis.engine import TEMPORAL_CODE_BACKENDS
+from repro.utils import DICT_MUTATORS
 from repro.utils.validation import require, require_in
 
 
@@ -93,11 +94,12 @@ class ReadOnlyDict(dict):
         raise TypeError("this mapping is shared read-only namespace state; "
                         "copy it with dict(...) before modifying it")
 
-    __setitem__ = __delitem__ = __ior__ = _read_only
-    clear = pop = popitem = setdefault = update = _read_only
-
     def __reduce__(self):
         return (dict, (dict(self),))
+
+
+for _name in DICT_MUTATORS:
+    setattr(ReadOnlyDict, _name, ReadOnlyDict._read_only)
 
 
 def _deep_freeze(value: Any) -> Any:

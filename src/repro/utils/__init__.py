@@ -16,7 +16,13 @@ from repro.utils.validation import (
     require_positive,
 )
 
+#: the ``dict`` methods that change what a dict holds (``__init__`` aside,
+#: which the sandbox policy forbids): what dicts that refuse or record writes override
+DICT_MUTATORS = ("__setitem__", "__delitem__", "__ior__", "clear", "pop", "popitem",
+                 "setdefault", "update")
+
 __all__ = [
+    "DICT_MUTATORS",
     "DeterministicRng",
     "stable_hash",
     "stable_unit_interval",

@@ -477,7 +477,13 @@ _LEAKING_CELLS = {
         _empty(g._pred)),
     "raises-after-writing": "G.graph['note'] = 1\nraise ValueError('no')",
     "rebound": "G = G.copy()",
+    "dict-name-mutator": "dict.update(G.graph, note=1)",
+    "mutator-dunder": "G.graph.__init__(note=1)",
 }
+
+#: leaking cells that write behind the methods of G's dicts, which record
+#: writes: the sandbox policy rejects them
+_BYPASS_CELLS = ("dict-name-mutator", "mutator-dunder")
 
 #: cells that only set attributes of G besides its storage, or fill its
 #: ``__networkx_cache__``: recycling deletes and empties them
@@ -525,12 +531,23 @@ class TestRecycledNetworkxView:
             code = code(to_networkx(application.graph))
         _read_backs(application)  # the unwritten read-backs exist already
         view, result = _networkx_cell(application, code + "\nresult = 0")
-        if result.succeeded:  # read back as written, unless G lost its layout
-            shared = result.updated_graph._nodes is application.graph._nodes
-            assert shared == (cell == "rebound"), cell
+        if result.succeeded:  # read back as written
+            assert result.updated_graph._nodes is not application.graph._nodes, cell
         following = application.networkx_view()
         assert following is not view
         assert storage_layout(following) == storage_layout(to_networkx(application.graph))
+
+    @pytest.mark.parametrize("cell", _BYPASS_CELLS)
+    def test_bypass_cell_is_rejected(self, cell):
+        application = TrafficAnalysisApplication.with_size(12, 15)
+        view, result = _networkx_cell(application, _LEAKING_CELLS[cell] + "\nresult = 0")
+        assert result.execution.error_type == "PolicyViolation"
+        assert "note" not in view.graph
+        # unchecked, the cell writes to G without setting its flag
+        outcome = ExecutionSandbox().execute(_LEAKING_CELLS[cell], {"G": view},
+                                             validate=False)
+        assert not outcome.failed and view.graph["note"] == 1
+        assert application.read_networkx_view(view)._nodes is application.graph._nodes
 
     @pytest.mark.parametrize("cell", sorted(_ATTRIBUTE_CELLS))
     def test_recycling_deletes_what_a_cell_set_besides_the_storage(self, cell,
@@ -586,7 +603,8 @@ class TestRecycledNetworkxView:
         builds = []
         original = application_module.to_networkx
         monkeypatch.setattr(application_module, "to_networkx",
-                            lambda graph: builds.append(graph) or original(graph))
+                            lambda graph, **kwargs: builds.append(graph)
+                            or original(graph, **kwargs))
         code = ["result = G.number_of_nodes()"]
         monkeypatch.setattr(runner_module, "create_provider",
                             lambda model, **_: _ScriptedProvider("python", code[0]))

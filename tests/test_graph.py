@@ -1,6 +1,9 @@
 """Tests for the property-graph substrate (model, diff, serialization, stats, convert)."""
 
+import copy
 import math
+import operator
+import pickle
 
 import networkx as nx
 import pytest
@@ -23,10 +26,12 @@ from repro.graph import (
     to_networkx,
     to_sql_database,
 )
-from repro.graph.convert import from_frames, from_sql_database
+from repro.graph.convert import TrackedDict, Writes, from_frames, from_sql_database
 from repro.graph import diff as diff_module
 from repro.graph.diff import ABSENT, values_equal
 from repro.graph.stats import degree_histogram, top_nodes_by_weight
+from repro.synthesis.temporal import ReadOnlyDict
+from repro.utils import DICT_MUTATORS
 from repro.utils.validation import ValidationError
 
 
@@ -470,6 +475,90 @@ class TestBulkConversions:
         for build in (from_frames, _per_element_from_frames):
             with pytest.raises(KeyError, match="id"):
                 build(nodes, edges)
+
+
+def _storage_dicts(nx_graph):
+    """Every dict a networkx graph stores its contents in."""
+    tops = [nx_graph.graph, nx_graph._node, nx_graph._adj]
+    if nx_graph.is_directed():
+        tops += [nx_graph._succ, nx_graph._pred]
+    rows = [row for top in tops[2:] for row in top.values()]
+    attrs = [attrs for row in rows for attrs in row.values()]
+    return tops + list(nx_graph._node.values()) + rows + attrs
+
+
+class TestTrackedNetworkx:
+    """A conversion with ``writes`` stores what a plain one does, in
+    ``TrackedDict``s: reads leave the flag clear, networkx's writers set it."""
+
+    @pytest.mark.parametrize("name", ["traffic", "malt", "sample", "undirected"])
+    def test_tracked_conversion_stores_what_the_plain_one_does(self, layout_graphs, name,
+                                                              storage_layout):
+        graph = layout_graphs[name]
+        for force_directed in (False, True):
+            writes = Writes()
+            tracked = to_networkx(graph, force_directed=force_directed, writes=writes)
+            assert storage_layout(tracked) == storage_layout(
+                to_networkx(graph, force_directed=force_directed))
+            assert all(type(d) is TrackedDict and d.writes is writes
+                       for d in _storage_dicts(tracked))
+            assert all(type(d) is dict for d in _storage_dicts(
+                to_networkx(graph, force_directed=force_directed)))
+            _ = (list(nx.bfs_edges(tracked, next(iter(tracked)))), dict(tracked.degree),
+                 list(tracked.edges(data=True)), dict(tracked.nodes(data=True)))
+            assert not writes.written
+
+    @pytest.mark.parametrize("write", [
+        lambda g: g.add_edge("a", "z"),
+        lambda g: g.nodes["a"].update(type="switch"),
+        lambda g: operator.setitem(g.edges["a", "b"], "bytes", 0),
+        lambda g: g.remove_node("c"),
+        lambda g: nx.set_node_attributes(g, 1, "mark"),
+    ])
+    def test_networkx_writes_are_recorded(self, write):
+        writes = Writes()
+        nx_graph = to_networkx(build_sample(), writes=writes)
+        write(nx_graph)
+        assert writes.written
+
+
+#: mutator name -> a call of it on ``{"a": 1}``, dunders through the operator
+#: a program would write
+_MUTATIONS = {
+    "__setitem__": lambda d: operator.setitem(d, "a", 2),
+    "__delitem__": lambda d: operator.delitem(d, "a"),
+    "__ior__": lambda d: operator.ior(d, {"b": 2}),
+    "clear": lambda d: d.clear(),
+    "pop": lambda d: d.pop("a"),
+    "popitem": lambda d: d.popitem(),
+    "setdefault": lambda d: d.setdefault("b", 2),
+    "update": lambda d: d.update(b=2),
+}
+
+
+def test_the_mutation_table_covers_every_mutator():
+    assert sorted(_MUTATIONS) == sorted(DICT_MUTATORS)
+
+
+@pytest.mark.parametrize("name", DICT_MUTATORS)
+def test_each_mutator_refuses_or_records(name):
+    """A ``ReadOnlyDict`` refuses every mutator and a ``TrackedDict``
+    records it; copies and pickles of either are plain dicts."""
+    mutate = _MUTATIONS[name]
+    frozen = ReadOnlyDict(a=1)
+    with pytest.raises(TypeError, match="read-only"):
+        mutate(frozen)
+    assert frozen == {"a": 1}
+
+    tracked, plain = TrackedDict(a=1), {"a": 1}
+    tracked.writes = Writes()
+    returned = mutate(tracked)
+    assert tracked.writes.written
+    assert returned == mutate(plain) and tracked == plain
+    for original in (ReadOnlyDict(a=ReadOnlyDict(b=1)), TrackedDict(a=1)):
+        for clone in (copy.copy(original), copy.deepcopy(original),
+                      pickle.loads(pickle.dumps(original))):
+            assert type(clone) is dict and clone == original
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,19 @@ class TestPolicy:
         with pytest.raises(PolicyViolation):
             validate_source("x = __builtins__")
 
+    @pytest.mark.parametrize("snippet", [
+        "dict.update(G.graph, note=1)", "dict.pop(G.graph, 'name')", "f = dict.setdefault",
+        "dict.__setitem__(G._adj['a'], 'b', {})", "G.graph.__init__(note=1)",
+        "G.graph.__delitem__('name')", "G.graph.__ior__({'note': 1})",
+    ])
+    def test_rejects_writes_behind_a_dicts_own_methods(self, snippet):
+        with pytest.raises(PolicyViolation):
+            validate_source(snippet)
+
+    def test_allows_reading_dict_methods(self):
+        validate_source("d = dict.fromkeys('ab')\nkeys = dict.keys(d)\nd.update(c=1)\n"
+                        "d['a'] = 2\ndel d['b']\nd |= {'e': 5}\n")
+
     def test_rejects_global_statement(self):
         with pytest.raises(PolicyViolation):
             validate_source("def f():\n    global x\n    x = 1\n")
