@@ -7,7 +7,9 @@ tests.  This package proves them at lint time instead: an AST-based rule
 registry with per-rule severity, ``# repro: allow[rule-id]`` suppressions,
 and four rule families (determinism, obs-inertness, template safety, and
 the interprocedural effect contracts built on a project-wide call graph —
-``repro analyze --effects``).  See DESIGN.md §4.8 and §4.10.
+``repro analyze --effects``).  One engine scans for intrinsic patterns: the
+effect engine's per-function seeds feed both the effect contracts and the
+per-file determinism rules.  See DESIGN.md §4.8 and §4.10.
 """
 
 from repro.analysis.framework import (
@@ -37,8 +39,9 @@ from repro.analysis.baseline import (
     write_baseline,
 )
 
-# importing the rule modules registers their rules (effects registers its
-# contract rules as a side effect of the determinism import above)
+# importing the rule modules registers their rules (effects, imported
+# above, registers the effect contracts; determinism registers the det-*
+# rules, which read the effect engine's seeds)
 from repro.analysis import determinism as _determinism  # noqa: F401
 from repro.analysis import obs_inertness as _obs_inertness  # noqa: F401
 from repro.analysis import templates as _templates  # noqa: F401

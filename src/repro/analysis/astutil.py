@@ -44,17 +44,6 @@ def from_imports(tree: ast.AST, module: str) -> Set[str]:
     return names
 
 
-def module_aliases(tree: ast.AST, module: str) -> Set[str]:
-    """Local names a module is bound to by ``import <module> [as alias]``."""
-    aliases: Set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name == module:
-                    aliases.add(alias.asname or alias.name.split(".")[0])
-    return aliases
-
-
 def subscript_key(node: ast.Subscript) -> Optional[str]:
     """The constant string key of ``x["key"]`` (None otherwise)."""
     sl = node.slice

@@ -12,13 +12,16 @@ time.  This module builds that graph statically:
 * calls are resolved through import aliases (``import a.b as c``,
   ``from a.b import f as g``), through re-export chains (``from repro.obs
   import span`` resolves into ``repro.obs.trace:span``), through ``self.``/
-  ``cls.`` receivers within a class, and — for dynamic dispatch — through a
-  conservative unique-method heuristic: ``x.golden_for(...)`` binds to
+  ``cls.`` receivers within a class, through *typed receivers*, and — for
+  the remaining dynamic dispatch — through a conservative unique-method
+  heuristic: ``x.golden_for(...)`` binds to
   ``TemporalGoldenSelector.golden_for`` only when exactly one project class
   defines that method name and the name is not a builtin-container method;
-* calls that cannot be resolved are kept as :class:`ExternalCall` records
-  (dotted name + location) so the effect engine can match them against its
-  intrinsic-seed tables;
+* a receiver ``self.x`` (in its class) or ``x`` (in its function) is typed
+  when every store to it (``= None`` aside) is ``Cls(...)`` or
+  ``x or Cls(...)`` for one project class, or ``x`` is a parameter
+  annotated ``Cls``/``Optional[Cls]``; ``x.method(...)`` binds to
+  ``Cls.method`` when the class defines it;
 * **worker roots** (functions referenced by ``"module:function"`` fabric
   worker strings) and **thread roots** (functions handed to
   ``Thread(target=...)``, ``pool.submit(...)``, ``loop.run_in_executor``,
@@ -38,9 +41,10 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis import astutil
+from repro.analysis.framework import iter_tree
 
 #: a fabric worker reference: ``package.module:function``
 WORKER_REF_RE = re.compile(r"^[A-Za-z_][\w.]*:[A-Za-z_]\w*$")
@@ -73,23 +77,6 @@ class CallSite:
     col: int
 
 
-@dataclass(frozen=True)
-class ExternalCall:
-    """A call the graph cannot resolve to a project function.
-
-    ``dotted`` is the best available name: the alias-substituted dotted path
-    (``time.time``, ``os.path.exists``), a bare name (``sorted``), or —
-    for attribute calls on unknown receivers — ``?.<attr>`` so suffix
-    matching still works.
-    """
-
-    dotted: str
-    lineno: int
-    col: int
-    #: True when the call appears as the first argument of ``sorted(...)``
-    sorted_wrapped: bool = False
-
-
 @dataclass
 class FunctionNode:
     """One project function (or method, or module pseudo-function)."""
@@ -102,7 +89,6 @@ class FunctionNode:
     is_async: bool = False
     cls: Optional[str] = None
     calls: List[CallSite] = field(default_factory=list)
-    external_calls: List[ExternalCall] = field(default_factory=list)
     #: the AST subtree of this function (module AST for ``<module>``)
     node: Optional[ast.AST] = None
 
@@ -125,6 +111,10 @@ class ModuleInfo:
     classes: Dict[str, Set[str]] = field(default_factory=dict)
     #: every module-level assigned name (the shared-state candidates)
     global_names: Set[str] = field(default_factory=set)
+    #: ids of the def nodes registered as functions of their own
+    function_nodes: Set[int] = field(default_factory=set)
+    #: module-level class name -> typed ``self.<attr>`` -> ``module:Cls``
+    attr_types: Dict[str, Dict[str, str]] = field(default_factory=dict)
 
 
 class CallGraph:
@@ -156,27 +146,41 @@ class CallGraph:
         return reverse
 
     # ------------------------------------------------------------------
-    def resolve_object(self, module: str, name: str,
-                       _seen: Optional[Set[Tuple[str, str]]] = None) -> Optional[str]:
-        """Resolve ``module:name`` through re-export chains to a qualname."""
-        seen = _seen if _seen is not None else set()
-        if (module, name) in seen:
-            return None
-        seen.add((module, name))
-        info = self.modules.get(module)
-        if info is None:
-            return None
-        if name in info.functions:
-            return f"{module}:{info.functions[name]}"
-        if name in info.classes:
-            # calling a class constructs it: bind to __init__ when defined
-            if "__init__" in info.classes[name]:
-                return f"{module}:{name}.__init__"
-            return None
-        if name in info.import_objects:
-            source_module, source_name = info.import_objects[name]
-            return self.resolve_object(source_module, source_name, seen)
+    def _definition(self, module: str,
+                    name: str) -> Optional[Tuple[ModuleInfo, str]]:
+        """Follow ``module:name`` through re-export chains to its definition."""
+        seen: Set[Tuple[str, str]] = set()
+        while (module, name) not in seen:
+            seen.add((module, name))
+            info = self.modules.get(module)
+            if info is None:
+                return None
+            if name in info.functions or name in info.classes:
+                return info, name
+            if name not in info.import_objects:
+                return None
+            module, name = info.import_objects[name]
         return None
+
+    def resolve_object(self, module: str, name: str) -> Optional[str]:
+        """Resolve ``module:name`` through re-export chains to a qualname."""
+        found = self._definition(module, name)
+        if found is None:
+            return None
+        info, name = found
+        if name in info.functions:
+            return f"{info.name}:{info.functions[name]}"
+        # calling a class constructs it: bind to __init__ when defined
+        if "__init__" in info.classes[name]:
+            return f"{info.name}:{name}.__init__"
+        return None
+
+    def resolve_class(self, module: str, name: str) -> Optional[str]:
+        """Resolve ``module:name`` to a project class ``module:Cls``."""
+        found = self._definition(module, name)
+        if found is None or found[1] not in found[0].classes:
+            return None
+        return f"{found[0].name}:{found[1]}"
 
     def resolve_worker_ref(self, reference: str) -> Optional[str]:
         """Resolve a ``module:function`` worker string to a graph qualname."""
@@ -206,17 +210,6 @@ def module_name_for(root: Path, relpath: str) -> str:
     if package:
         parts = [package] + parts
     return ".".join(parts) if parts else (package or relpath)
-
-
-def iter_project_files(root: Path) -> Iterator[Tuple[Path, str]]:
-    root = Path(root)
-    if root.is_file():
-        yield root, root.name
-        return
-    for path in sorted(root.rglob("*.py")):
-        if "__pycache__" in path.parts:
-            continue
-        yield path, path.relative_to(root).as_posix()
 
 
 def _collect_imports(info: ModuleInfo, known_modules: Set[str]) -> None:
@@ -276,6 +269,10 @@ def _add_function(graph: CallGraph, info: ModuleInfo,
                   node: ast.AST, cls: Optional[str]) -> None:
     local_qual = f"{cls}.{node.name}" if cls else node.name
     qualname = f"{info.name}:{local_qual}"
+    if qualname in graph.functions:
+        # a redefinition (``@x.setter``): the earlier body stays with <module>
+        info.function_nodes.discard(id(graph.functions[qualname].node))
+    info.function_nodes.add(id(node))
     info.functions[local_qual] = local_qual
     if cls is None:
         info.functions[node.name] = node.name
@@ -290,26 +287,28 @@ def _add_function(graph: CallGraph, info: ModuleInfo,
 # ---------------------------------------------------------------------------
 # call linking
 # ---------------------------------------------------------------------------
-def walk_owned(owner: ast.AST, *, is_module: bool) -> Iterator[ast.AST]:
-    """Walk the statements *owned* by a function (or module pseudo-function).
+def walk_owned(info: ModuleInfo, owner: FunctionNode) -> Iterator[ast.AST]:
+    """Walk the nodes *owned* by a function (or module pseudo-function).
 
-    For a module, stop at function/class-method boundaries (those calls
-    belong to the defs themselves); for a function, descend everywhere —
-    nested defs and lambdas run at the enclosing function's behest.
+    For a module, stop at the defs registered as functions of their own
+    (those nodes belong to the defs themselves); any other def — under a
+    module-level ``if``/``try``, a method of a nested class, a shadowed
+    redefinition — stays with the module.  For a function, descend
+    everywhere: nested defs and lambdas run at the enclosing function's
+    behest.  Every node of a module is owned by exactly one function.
     """
-    if is_module:
-        stack = list(ast.iter_child_nodes(owner))
+    if owner.name == MODULE_FUNCTION:
+        stack = list(ast.iter_child_nodes(owner.node))
         while stack:
             node = stack.pop()
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if id(node) in info.function_nodes:
                 continue
             yield node
             stack.extend(ast.iter_child_nodes(node))
     else:
-        for index, node in enumerate(ast.walk(owner)):
-            if index == 0:
-                continue
-            yield node
+        nodes = ast.walk(owner.node)
+        next(nodes)
+        yield from nodes
 
 
 def _function_ref_target(graph: CallGraph, info: ModuleInfo,
@@ -372,15 +371,6 @@ def _resolve_dotted_call(graph: CallGraph, info: ModuleInfo,
     return None
 
 
-def _substituted_dotted(info: ModuleInfo, dotted: str) -> str:
-    """Rewrite the leading alias of *dotted* to its real module path."""
-    head, _, rest = dotted.partition(".")
-    real = info.import_modules.get(head)
-    if real and rest:
-        return f"{real}.{rest}"
-    return dotted
-
-
 def _unique_method_target(graph: CallGraph, method: str) -> Optional[str]:
     if method in COMMON_METHOD_NAMES or method.startswith("__"):
         return None
@@ -390,68 +380,130 @@ def _unique_method_target(graph: CallGraph, method: str) -> Optional[str]:
     return None
 
 
-def _sorted_wrapped_ids(owner: ast.AST, is_module: bool) -> Set[int]:
-    wrapped: Set[int] = set()
-    nodes = walk_owned(owner, is_module=is_module)
+# ---------------------------------------------------------------------------
+# receiver typing
+# ---------------------------------------------------------------------------
+def _class_of(graph: CallGraph, info: ModuleInfo,
+              expr: ast.AST) -> Optional[str]:
+    """The project class (``module:Cls``) an annotation or callee names."""
+    if isinstance(expr, ast.Subscript) \
+            and astutil.dotted_name(expr.value) in ("Optional", "typing.Optional"):
+        return _class_of(graph, info, expr.slice)
+    dotted = astutil.dotted_name(expr)
+    if dotted is None:
+        return None
+    head, _, rest = dotted.partition(".")
+    if not rest:
+        return graph.resolve_class(info.name, head)
+    if head not in info.import_modules:
+        return None
+    module, _, name = f"{info.import_modules[head]}.{rest}".rpartition(".")
+    return graph.resolve_class(module, name)
+
+
+def _constructed_class(graph: CallGraph, info: ModuleInfo,
+                       value: ast.AST) -> Optional[str]:
+    """The class ``Cls(...)`` or ``x or Cls(...)`` constructs, if any."""
+    if isinstance(value, ast.BoolOp) and isinstance(value.op, ast.Or):
+        value = value.values[-1]
+    if isinstance(value, ast.Call):
+        return _class_of(graph, info, value.func)
+    return None
+
+
+def _store_key(node: ast.AST, attributes: bool) -> Optional[str]:
+    """``self.x`` (*attributes*) or ``x`` if *node* stores to one, else None."""
+    if not isinstance(getattr(node, "ctx", None), ast.Store):
+        return None
+    if attributes:
+        is_self = isinstance(node, ast.Attribute) \
+            and isinstance(node.value, ast.Name) and node.value.id == "self"
+        return astutil.dotted_name(node) if is_self else None
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _store_types(graph: CallGraph, info: ModuleInfo, nodes: List[ast.AST],
+                 attributes: bool,
+                 types: Dict[str, Optional[str]]) -> Dict[str, str]:
+    """Receivers whose every store (``= None`` aside) builds one class.
+
+    *types* holds the bindings known beforehand (annotated parameters).
+    """
+    assigned = {id(node.targets[0]): node.value for node in nodes
+                if isinstance(node, ast.Assign) and len(node.targets) == 1}
     for node in nodes:
-        if isinstance(node, ast.Call) and astutil.call_name(node) == "sorted" \
-                and node.args:
-            wrapped.add(id(node.args[0]))
-    return wrapped
+        key = _store_key(node, attributes)
+        value = assigned.get(id(node))
+        if key is None or (isinstance(value, ast.Constant)
+                           and value.value is None):
+            continue
+        cls = _constructed_class(graph, info, value)
+        types[key] = cls if types.get(key, cls) == cls else None
+    return {key: cls for key, cls in types.items() if cls is not None}
 
 
+def _collect_attribute_types(graph: CallGraph, info: ModuleInfo) -> None:
+    module_body = info.tree.body if isinstance(info.tree, ast.Module) else []
+    for node in module_body:
+        if isinstance(node, ast.ClassDef):
+            info.attr_types[node.name] = _store_types(
+                graph, info, list(ast.walk(node)), True, {})
+
+
+def _receiver_types(graph: CallGraph, info: ModuleInfo, owner: FunctionNode,
+                    nodes: List[ast.AST]) -> Dict[str, str]:
+    """Typed receivers in *owner*: its class's ``self.x`` and its locals."""
+    params: Dict[str, Optional[str]] = {}
+    if isinstance(owner.node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        arguments = owner.node.args
+        for arg in arguments.posonlyargs + arguments.args + arguments.kwonlyargs:
+            if arg.annotation is not None:
+                params[arg.arg] = _class_of(graph, info, arg.annotation)
+    return {**info.attr_types.get(owner.cls, {}),
+            **_store_types(graph, info, nodes, False, params)}
+
+
+# ---------------------------------------------------------------------------
+# call linking
+# ---------------------------------------------------------------------------
 def _link_function(graph: CallGraph, info: ModuleInfo,
                    owner: FunctionNode) -> None:
-    is_module = owner.name == MODULE_FUNCTION
-    wrapped = _sorted_wrapped_ids(owner.node, is_module)
-    for node in walk_owned(owner.node, is_module=is_module):
-        if not isinstance(node, ast.Call):
-            continue
-        _link_call(graph, info, owner, node, wrapped)
+    nodes = list(walk_owned(info, owner))
+    receiver_types = _receiver_types(graph, info, owner, nodes)
+    for node in nodes:
+        if isinstance(node, ast.Call):
+            _link_call(graph, info, owner, node, receiver_types)
 
 
 def _link_call(graph: CallGraph, info: ModuleInfo, owner: FunctionNode,
-               call: ast.Call, wrapped: Set[int]) -> None:
+               call: ast.Call, receiver_types: Dict[str, str]) -> None:
     func = call.func
     target: Optional[str] = None
-    external: Optional[str] = None
 
     if isinstance(func, ast.Name):
         target = _resolve_name_call(graph, info, func.id)
-        if target is None:
-            external = func.id
     elif isinstance(func, ast.Attribute):
         dotted = astutil.dotted_name(func)
-        if dotted is not None:
-            head = dotted.split(".")[0]
-            if head in ("self", "cls") and owner.cls is not None:
-                attr = dotted.split(".")[1] if dotted.count(".") >= 1 else ""
-                if dotted.count(".") == 1 \
-                        and attr in info.classes.get(owner.cls, ()):
-                    target = f"{info.name}:{owner.cls}.{attr}"
-                else:
-                    target = _unique_method_target(graph, func.attr)
+        head = dotted.split(".")[0] if dotted is not None else None
+        if head in ("self", "cls") and owner.cls is not None \
+                and dotted.count(".") == 1 \
+                and func.attr in info.classes.get(owner.cls, ()):
+            target = f"{info.name}:{owner.cls}.{func.attr}"
+        elif head is not None and head not in ("self", "cls"):
+            target = _resolve_dotted_call(graph, info, dotted)
+        if target is None and head not in info.import_modules \
+                and head not in info.classes:
+            # unknown receiver: a typed one, else dynamic dispatch
+            cls = receiver_types.get(astutil.dotted_name(func.value) or "")
+            module, _, name = (cls or "").partition(":")
+            if cls and func.attr in graph.modules[module].classes[name]:
+                target = f"{cls}.{func.attr}"
             else:
-                target = _resolve_dotted_call(graph, info, dotted)
-                if target is None and head not in info.import_modules \
-                        and head not in info.classes:
-                    # unknown receiver: fall back to dynamic dispatch
-                    target = _unique_method_target(graph, func.attr)
-            if target is None:
-                external = _substituted_dotted(info, dotted)
-        else:
-            # call on a computed receiver: x().attr(...), d[k].attr(...)
-            target = _unique_method_target(graph, func.attr)
-            if target is None:
-                external = f"?.{func.attr}"
+                target = _unique_method_target(graph, func.attr)
 
     if target is not None:
         owner.calls.append(CallSite(target=target, lineno=call.lineno,
                                     col=call.col_offset))
-    elif external is not None:
-        owner.external_calls.append(ExternalCall(
-            dotted=external, lineno=call.lineno, col=call.col_offset,
-            sorted_wrapped=id(call) in wrapped))
 
     _detect_roots(graph, info, owner, call)
 
@@ -513,7 +565,7 @@ def build_call_graph(root: Path,
     root = Path(root)
     graph = CallGraph()
     parsed: List[ModuleInfo] = []
-    for path, relpath in iter_project_files(root):
+    for path, relpath in iter_tree(root):
         if single_relpath is not None:
             relpath = single_relpath
         try:
@@ -531,6 +583,8 @@ def build_call_graph(root: Path,
     for info in parsed:
         _collect_imports(info, known_modules)
         _collect_definitions(graph, info)
+    for info in parsed:
+        _collect_attribute_types(graph, info)
     for info in parsed:
         for local_qual in sorted(set(info.functions.values())):
             owner = graph.functions.get(f"{info.name}:{local_qual}")

@@ -8,6 +8,12 @@ promise quietly breaks: filesystem enumeration order, set iteration order,
 wall-clock reads, the process-global RNG, per-process object identity, and
 non-canonical JSON.
 
+The first six of those are intrinsic seeds of the effect engine
+(:mod:`repro.analysis.effects`), which tags each seed with the rule that
+reports it; those rules share one check that reports a file's tagged seeds,
+so the per-file and the transitive checks read one scan.  Only
+``det-json-sort-keys`` walks the AST here: no effect corresponds to it.
+
 Scope is intentionally narrow — the modules that run inside workers or feed
 ``Task.digest()`` / cache keys — so that, e.g., the CLI printing a timestamp
 is not a finding but a worker reading one is.
@@ -16,7 +22,7 @@ is not a finding but a worker reading one is.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Set
+from typing import Iterator, Set, Tuple
 
 from repro.analysis import astutil, effects
 from repro.analysis.framework import (
@@ -53,144 +59,66 @@ JSON_SCOPE = DETERMINISM_SCOPE + (
     "techniques/",
 )
 
-# the pattern tables are shared with the interprocedural effect engine
-# (repro.analysis.effects seeds its lattice from the same sets), so a
-# pattern added there tightens both the flat and the transitive checks
-_LISTING_CALLS = effects.LISTING_CALLS
-_WALLCLOCK_CALLS = effects.WALLCLOCK_CALLS
-_GLOBAL_RANDOM_FUNCS = effects.GLOBAL_RANDOM_FUNCS
+#: the rules that report the effect engine's intrinsic seeds, one per seed
+#: kind: id -> (severity, description, suggestion)
+SEED_RULES = {
+    "det-unsorted-listing": (
+        SEVERITY_ERROR,
+        "directory enumeration whose order reaches the caller unsorted",
+        "wrap the enumeration in sorted(...) so iteration order does not "
+        "depend on the filesystem"),
+    "det-set-iteration": (
+        SEVERITY_ERROR,
+        "iteration over a set expression (hash order is per-process)",
+        "iterate sorted(...) over the set, or keep insertion order with a "
+        "dict/list"),
+    "det-wallclock": (
+        SEVERITY_ERROR,
+        "wall-clock read in worker/digest code",
+        "workers must be pure functions of their payload; pass timestamps in "
+        "via the payload, or use time.perf_counter() for telemetry-only "
+        "durations"),
+    "det-unseeded-random": (
+        SEVERITY_ERROR,
+        "use of the process-global random generator",
+        "derive a seeded random.Random(...) instance from payload material "
+        "instead of the module-level functions"),
+    "det-object-identity": (
+        SEVERITY_ERROR,
+        "id()/hash() in code whose values may reach payloads or digests",
+        "use stable keys (addresses, names, content digests via hashlib) "
+        "instead of per-process object identity"),
+    "det-env-read": (
+        SEVERITY_WARNING,
+        "environment read in worker/digest code (machine-dependent)",
+        "resolve environment configuration in the parent process and pass it "
+        "through the payload, so two machines running the same sweep agree "
+        "byte-for-byte"),
+}
 
 
-def _sorted_wrapped_args(tree: ast.AST) -> Set[int]:
-    """ids of AST nodes inside the first argument of any ``sorted(...)``."""
-    return effects.sorted_wrapped_ids(list(ast.walk(tree)))
+def check_seeds(rule_: Rule, ctx: FileContext) -> Iterator[Finding]:
+    """Report the file's seeds tagged with *rule_*'s id, once per site.
+
+    ``os.environ.get(...)`` seeds twice at one site (the call and the
+    ``os.environ`` attribute), so sites are deduplicated by (line, col).
+    """
+    project = effects.project_for(ctx)
+    sites: Set[Tuple[int, int]] = set()
+    for node in project.graph.functions_in(ctx.relpath):
+        for seed in project.seeds.get(node.qualname, ()):
+            if seed.rule == rule_.id and (seed.lineno, seed.col) not in sites:
+                sites.add((seed.lineno, seed.col))
+                yield ctx.finding(
+                    rule_, None,
+                    f"{seed.description} in worker/digest scope: serial and "
+                    f"--jobs N runs, or two machines, may disagree",
+                    line=seed.lineno, col=seed.col)
 
 
-@rule("det-unsorted-listing", severity=SEVERITY_ERROR, scope=DETERMINISM_SCOPE,
-      description="directory enumeration whose order reaches the caller unsorted",
-      suggestion="wrap the enumeration in sorted(...) so iteration order "
-                 "does not depend on the filesystem")
-def check_unsorted_listing(rule_: Rule, ctx: FileContext) -> Iterator[Finding]:
-    wrapped = _sorted_wrapped_args(ctx.tree)
-    for call in astutil.walk_calls(ctx.tree):
-        name = astutil.call_name(call)
-        if name in _LISTING_CALLS and id(call) not in wrapped:
-            yield ctx.finding(
-                rule_, call,
-                f"result of {name}() is iterated in filesystem order; "
-                f"serial and --jobs N runs may disagree")
-
-
-def _is_set_expression(node: ast.AST) -> bool:
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call) and astutil.call_name(node) in ("set", "frozenset"):
-        return True
-    return False
-
-
-@rule("det-set-iteration", severity=SEVERITY_ERROR, scope=DETERMINISM_SCOPE,
-      description="iteration over a set expression (hash order is per-process)",
-      suggestion="iterate sorted(...) over the set, or keep insertion order "
-                 "with a dict/list")
-def check_set_iteration(rule_: Rule, ctx: FileContext) -> Iterator[Finding]:
-    wrapped = _sorted_wrapped_args(ctx.tree)
-
-    def flag(node: ast.AST, iterable: ast.AST) -> Iterator[Finding]:
-        if _is_set_expression(iterable) and id(iterable) not in wrapped:
-            yield ctx.finding(
-                rule_, iterable,
-                "iterating a set: string hash order differs per process "
-                "(PYTHONHASHSEED), so any ordered output derived from it "
-                "is nondeterministic")
-
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, (ast.For, ast.AsyncFor)):
-            yield from flag(node, node.iter)
-        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
-                               ast.GeneratorExp)):
-            for generator in node.generators:
-                yield from flag(node, generator.iter)
-        elif isinstance(node, ast.Call) and astutil.call_name(node) in ("list", "tuple"):
-            if node.args:
-                yield from flag(node, node.args[0])
-
-
-@rule("det-wallclock", severity=SEVERITY_ERROR, scope=DETERMINISM_SCOPE,
-      description="wall-clock read in worker/digest code",
-      suggestion="workers must be pure functions of their payload; pass "
-                 "timestamps in via the payload, or use time.perf_counter() "
-                 "for telemetry-only durations")
-def check_wallclock(rule_: Rule, ctx: FileContext) -> Iterator[Finding]:
-    bare_time_names = {
-        name for name in astutil.from_imports(ctx.tree, "time")
-        if name in ("time", "time_ns")}
-    for call in astutil.walk_calls(ctx.tree):
-        dotted = astutil.dotted_name(call.func)
-        if dotted in _WALLCLOCK_CALLS:
-            yield ctx.finding(
-                rule_, call,
-                f"{dotted}() reads the wall clock; its value differs per "
-                f"run and per process")
-        elif isinstance(call.func, ast.Name) and call.func.id in bare_time_names:
-            yield ctx.finding(
-                rule_, call,
-                f"{call.func.id}() (imported from time) reads the wall clock")
-
-
-@rule("det-unseeded-random", severity=SEVERITY_ERROR, scope=DETERMINISM_SCOPE,
-      description="use of the process-global random generator",
-      suggestion="derive a seeded random.Random(...) instance from payload "
-                 "material instead of the module-level functions")
-def check_unseeded_random(rule_: Rule, ctx: FileContext) -> Iterator[Finding]:
-    bare = astutil.from_imports(ctx.tree, "random") & _GLOBAL_RANDOM_FUNCS
-    for call in astutil.walk_calls(ctx.tree):
-        dotted = astutil.dotted_name(call.func)
-        if dotted and dotted.startswith("random.") \
-                and dotted.split(".", 1)[1] in _GLOBAL_RANDOM_FUNCS:
-            yield ctx.finding(
-                rule_, call,
-                f"{dotted}() draws from the process-global RNG, whose state "
-                f"depends on call order across the whole process")
-        elif isinstance(call.func, ast.Name) and call.func.id in bare:
-            yield ctx.finding(
-                rule_, call,
-                f"{call.func.id}() (imported from random) draws from the "
-                f"process-global RNG")
-
-
-@rule("det-object-identity", severity=SEVERITY_ERROR, scope=DETERMINISM_SCOPE,
-      description="id()/hash() in code whose values may reach payloads or digests",
-      suggestion="use stable keys (addresses, names, content digests via "
-                 "hashlib) instead of per-process object identity")
-def check_object_identity(rule_: Rule, ctx: FileContext) -> Iterator[Finding]:
-    for call in astutil.walk_calls(ctx.tree):
-        if isinstance(call.func, ast.Name) and call.func.id in ("id", "hash"):
-            yield ctx.finding(
-                rule_, call,
-                f"builtin {call.func.id}() is process-dependent "
-                f"(PYTHONHASHSEED / allocator); it must never leak into "
-                f"serialized payloads, digests, or cache keys")
-
-
-@rule("det-env-read", severity=SEVERITY_WARNING, scope=DETERMINISM_SCOPE,
-      description="environment read in worker/digest code (machine-dependent)",
-      suggestion="resolve environment configuration in the parent process "
-                 "and pass it through the payload, so two machines running "
-                 "the same sweep agree byte-for-byte")
-def check_env_read(rule_: Rule, ctx: FileContext) -> Iterator[Finding]:
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, ast.Attribute) and node.attr == "environ" \
-                and astutil.dotted_name(node) == "os.environ":
-            yield ctx.finding(
-                rule_, node,
-                "os.environ read in worker/digest scope: behaviour now "
-                "depends on the invoking machine, not the payload")
-        elif isinstance(node, ast.Call) and astutil.dotted_name(node.func) == "os.getenv":
-            yield ctx.finding(
-                rule_, node,
-                "os.getenv(...) in worker/digest scope: behaviour now "
-                "depends on the invoking machine, not the payload")
+for _rule_id, (_severity, _description, _suggestion) in SEED_RULES.items():
+    rule(_rule_id, severity=_severity, scope=DETERMINISM_SCOPE,
+         description=_description, suggestion=_suggestion)(check_seeds)
 
 
 @rule("det-json-sort-keys", severity=SEVERITY_ERROR, scope=JSON_SCOPE,

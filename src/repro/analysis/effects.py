@@ -24,9 +24,10 @@ fixpoint:
     ``redirect_stderr``, assignments to ``sys.stdout``/``sys.stderr``,
     ``os.chdir``, ``os.environ`` stores), which no lock makes safe
 
-Each ``(function, effect)`` pair keeps a *witness* — the seed line or the
-call edge the effect arrived through — so a finding can print the exact
-call chain that carries the effect (``repro analyze --explain``).
+Each function keeps every intrinsic :class:`Seed` it contains, and each
+``(function, effect)`` pair keeps a *witness* — the first seed or the call
+edge the effect arrived through — so a finding can print the exact call
+chain that carries the effect (``repro analyze --explain``).
 
 The contracts enforced on top (one rule each):
 
@@ -47,9 +48,10 @@ thread-reachable code      unlocked module-global writes
 any code                   process-wide state changes (same rule)
 =========================  =================================================
 
-The per-file determinism rules (:mod:`repro.analysis.determinism`) share
-this module's seed tables, so a pattern added here tightens both the flat
-and the transitive checks at once.
+The per-file determinism rules (:mod:`repro.analysis.determinism`) report
+these same seeds — each nondeterministic and env-read seed is tagged with
+the ``det-*`` rule id that reports it — so one seed scan serves both, and a
+pattern added here tightens the per-file and the transitive checks at once.
 """
 
 from __future__ import annotations
@@ -74,6 +76,7 @@ from repro.analysis.framework import (
     FileContext,
     Finding,
     Rule,
+    all_rules,
     rule,
 )
 
@@ -87,13 +90,8 @@ NETWORK = "network"
 BLOCKING_IO = "blocking-io"
 GLOBAL_MUTATION = "global-mutation"
 
-EFFECTS = (
-    NONDETERMINISTIC, ENV_READ, FS_WRITE, NETWORK, BLOCKING_IO,
-    GLOBAL_MUTATION,
-)
-
 # ---------------------------------------------------------------------------
-# intrinsic seed tables (shared with repro.analysis.determinism)
+# intrinsic seed tables
 # ---------------------------------------------------------------------------
 #: directory-enumeration calls whose result order is filesystem-dependent
 LISTING_CALLS = {"listdir", "scandir", "iterdir", "glob", "rglob"}
@@ -158,6 +156,19 @@ OBS_EXPORTER_FILES = ("obs/export.py", "obs/ledger.py")
 # analysis results
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
+class Seed:
+    """One intrinsic effect site in a function body."""
+
+    effect: str
+    lineno: int
+    col: int
+    description: str
+    #: the ``det-*`` rule reporting it per file (None: fs-write, network,
+    #: blocking-io)
+    rule: Optional[str] = None
+
+
+@dataclass(frozen=True)
 class Witness:
     """Why a function carries an effect: its seed, or the carrying call."""
 
@@ -194,6 +205,8 @@ class EffectProject:
     root: Path
     graph: CallGraph
     effects: Dict[str, Set[str]] = field(default_factory=dict)
+    #: every intrinsic seed of each function, in (line, col, effect) order
+    seeds: Dict[str, List[Seed]] = field(default_factory=dict)
     witnesses: Dict[Tuple[str, str], Witness] = field(default_factory=dict)
     mutation_sites: Dict[str, List[MutationSite]] = field(default_factory=dict)
     #: thread-reachability BFS tree: fn -> (calling fn, call line) | None for roots
@@ -283,7 +296,7 @@ def normalized_call_target(info: ModuleInfo, func: ast.AST) -> Optional[str]:
     return None
 
 
-def sorted_wrapped_ids(nodes: Sequence[ast.AST]) -> Set[int]:
+def _sorted_wrapped_ids(nodes: Sequence[ast.AST]) -> Set[int]:
     """ids of AST nodes anywhere inside the first argument of ``sorted(...)``.
 
     The whole subtree counts, not just the direct argument:
@@ -323,63 +336,67 @@ def _is_set_expression(node: ast.AST) -> bool:
     return False
 
 
-def _call_seeds(info: ModuleInfo, call: ast.Call,
-                wrapped: Set[int]) -> Iterator[Tuple[str, str]]:
-    """Yield ``(effect, description)`` seeds for one call expression."""
+def _call_seeds(info: ModuleInfo, call: ast.Call, wrapped: Set[int]
+                ) -> Iterator[Tuple[str, Optional[str], str]]:
+    """Yield ``(effect, det-* rule, description)`` seeds for one call."""
     dotted = normalized_call_target(info, call.func)
     if dotted is None:
         return
     last = dotted.rsplit(".", 1)[-1]
     if dotted in WALLCLOCK_CALLS:
-        yield NONDETERMINISTIC, f"wall-clock read {dotted}()"
+        yield NONDETERMINISTIC, "det-wallclock", f"wall-clock read {dotted}()"
     if dotted.startswith("random.") and last in GLOBAL_RANDOM_FUNCS:
-        yield NONDETERMINISTIC, f"process-global RNG draw {dotted}()"
+        yield (NONDETERMINISTIC, "det-unseeded-random",
+               f"process-global RNG draw {dotted}()")
     if last in LISTING_CALLS and id(call) not in wrapped:
-        yield NONDETERMINISTIC, f"unsorted directory enumeration {last}()"
+        yield (NONDETERMINISTIC, "det-unsorted-listing",
+               f"unsorted directory enumeration {last}()")
     if isinstance(call.func, ast.Name) and call.func.id in ("id", "hash"):
-        yield NONDETERMINISTIC, f"per-process identity {call.func.id}()"
+        yield (NONDETERMINISTIC, "det-object-identity",
+               f"per-process identity {call.func.id}()")
     if dotted == "os.getenv" or dotted.startswith("os.environ."):
-        yield ENV_READ, f"environment read {dotted}()"
+        yield ENV_READ, "det-env-read", f"environment read {dotted}()"
     if dotted in ("open", "io.open", "os.fdopen") and _open_mode_writes(call):
-        yield FS_WRITE, f"{dotted}() with a writable mode"
+        yield FS_WRITE, None, f"{dotted}() with a writable mode"
     if dotted in FS_WRITE_CALLS and dotted != "os.fdopen":
-        yield FS_WRITE, f"filesystem mutation {dotted}()"
+        yield FS_WRITE, None, f"filesystem mutation {dotted}()"
     if "." in dotted and last in FS_WRITE_METHODS:
-        yield FS_WRITE, f"filesystem mutation .{last}()"
+        yield FS_WRITE, None, f"filesystem mutation .{last}()"
     if dotted in NETWORK_CALLS \
             or dotted.startswith(NETWORK_CALL_PREFIXES):
-        yield NETWORK, f"network operation {dotted}()"
+        yield NETWORK, None, f"network operation {dotted}()"
     if dotted in BLOCKING_CALLS or dotted.startswith("subprocess."):
-        yield BLOCKING_IO, f"blocking call {dotted}()"
+        yield BLOCKING_IO, None, f"blocking call {dotted}()"
 
 
-def _function_seeds(info: ModuleInfo,
-                    owner: FunctionNode) -> List[Tuple[str, int, int, str]]:
-    """All intrinsic ``(effect, line, col, description)`` seeds of *owner*."""
-    is_module = owner.name == MODULE_FUNCTION
-    nodes = list(walk_owned(owner.node, is_module=is_module))
-    wrapped = sorted_wrapped_ids(nodes)
+def _function_seeds(info: ModuleInfo, owner: FunctionNode) -> List[Seed]:
+    """All intrinsic seeds of *owner*, in walk order."""
+    nodes = list(walk_owned(info, owner))
+    wrapped = _sorted_wrapped_ids(nodes)
 
-    seeds: List[Tuple[str, int, int, str]] = []
+    seeds: List[Seed] = []
 
-    def note(effect: str, node: ast.AST, description: str) -> None:
-        seeds.append((effect, node.lineno, node.col_offset, description))
+    def note(effect: str, rule_id: Optional[str], node: ast.AST,
+             description: str) -> None:
+        seeds.append(Seed(effect, node.lineno, node.col_offset, description,
+                          rule_id))
 
     def flag_set_iteration(iterable: ast.AST) -> None:
         if _is_set_expression(iterable) and id(iterable) not in wrapped:
-            note(NONDETERMINISTIC, iterable,
+            note(NONDETERMINISTIC, "det-set-iteration", iterable,
                  "iteration over a set expression (hash order)")
 
     for node in nodes:
         if isinstance(node, ast.Call):
-            for effect, description in _call_seeds(info, node, wrapped):
-                note(effect, node, description)
+            for effect, rule_id, description in _call_seeds(info, node,
+                                                            wrapped):
+                note(effect, rule_id, node, description)
         elif isinstance(node, ast.Attribute) and node.attr == "environ" \
                 and astutil.dotted_name(node) == "os.environ":
-            note(ENV_READ, node, "environment read os.environ")
+            note(ENV_READ, "det-env-read", node, "environment read os.environ")
         elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) \
                 and info.import_objects.get(node.id) == ("os", "environ"):
-            note(ENV_READ, node, "environment read os.environ")
+            note(ENV_READ, "det-env-read", node, "environment read os.environ")
         if isinstance(node, (ast.For, ast.AsyncFor)):
             flag_set_iteration(node.iter)
         elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
@@ -536,12 +553,14 @@ def analyze_project(root: Path,
         info = graph.modules[owner.module]
         effects: Set[str] = set()
         seeds = sorted(_function_seeds(info, owner),
-                       key=lambda seed: (seed[1], seed[2], seed[0]))
-        for effect, lineno, _col, description in seeds:
-            if effect not in effects:
-                effects.add(effect)
-                project.witnesses[(qualname, effect)] = Witness(
-                    kind="seed", lineno=lineno, detail=description)
+                       key=lambda seed: (seed.lineno, seed.col, seed.effect))
+        if seeds:
+            project.seeds[qualname] = seeds
+        for seed in seeds:
+            if seed.effect not in effects:
+                effects.add(seed.effect)
+                project.witnesses[(qualname, seed.effect)] = Witness(
+                    kind="seed", lineno=seed.lineno, detail=seed.description)
         sites = _scan_mutations(info, owner)
         if sites:
             project.mutation_sites[qualname] = sites
@@ -670,13 +689,7 @@ def render_explain(project: EffectProject, spec: str) -> str:
 # ---------------------------------------------------------------------------
 def effect_rule_ids() -> List[str]:
     """Ids of the interprocedural rules (the ``--effects`` selection)."""
-    return [
-        "effect-async-blocking",
-        "effect-obs-write",
-        "effect-thread-shared-state",
-        "effect-worker-env",
-        "effect-worker-purity",
-    ]
+    return [rule_.id for rule_ in all_rules() if rule_.id.startswith("effect-")]
 
 
 def _worker_findings(rule_: Rule, ctx: FileContext, effect: str,

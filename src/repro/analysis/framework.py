@@ -6,7 +6,10 @@ The checker is deliberately boring infrastructure: a registry of
 package in sorted order (the checker must itself be deterministic).  The
 interesting logic lives in the rule modules
 (:mod:`repro.analysis.determinism`, :mod:`repro.analysis.obs_inertness`,
-:mod:`repro.analysis.templates`).
+:mod:`repro.analysis.templates`) and in the effect engine
+(:mod:`repro.analysis.effects`), whose per-function seeds the effect
+contracts and most determinism rules report.  A rule's check receives one
+file but may consult that engine's cached whole-project analysis.
 
 Suppressions use an explicit, greppable marker::
 

@@ -88,6 +88,74 @@ class TestFixtureCorpus:
             f"{f.path}:{f.line}: {f.rule_id}: {f.message}" for f in findings)
 
 
+#: every det-* finding on each bad fixture, as (rule, line, col): the
+#: findings of the flat per-file walkers these rules replaced
+PINNED_DET_FINDINGS = {
+    "det_env_read_bad.py": [
+        ("det-env-read", 7, 11), ("det-env-read", 8, 16)],
+    "det_json_sort_keys_bad.py": [("det-json-sort-keys", 8, 11)],
+    "det_object_identity_bad.py": [
+        ("det-object-identity", 5, 24), ("det-object-identity", 5, 44)],
+    "det_set_iteration_bad.py": [
+        ("det-set-iteration", 5, 27), ("det-set-iteration", 10, 16)],
+    "det_unseeded_random_bad.py": [("det-unseeded-random", 7, 11)],
+    "det_unsorted_listing_bad.py": [
+        ("det-unsorted-listing", 8, 29), ("det-unsorted-listing", 12, 16)],
+    "det_wallclock_bad.py": [
+        ("det-wallclock", 8, 44), ("det-wallclock", 9, 19)],
+}
+
+
+def det_findings(path, relpath):
+    clear_effect_cache()
+    rules = [rule for rule in all_rules() if rule.id.startswith("det-")]
+    findings = analyze_file(path, rules=rules, relpath=relpath)
+    return sorted((f.rule_id, f.line, f.col) for f in findings)
+
+
+class TestDeterminismFindings:
+    @pytest.mark.parametrize("name", sorted(PINNED_DET_FINDINGS))
+    def test_bad_fixture_findings_are_pinned(self, name):
+        assert det_findings(FIXTURES / name, f"exec/{name}") \
+            == PINNED_DET_FINDINGS[name]
+
+    def test_import_alias_spellings_are_caught(self, tmp_path):
+        path = tmp_path / "worker.py"
+        path.write_text(
+            "import time as t\n"
+            "import random as rnd\n"
+            "from os import environ\n"
+            "\n"
+            "def run(x):\n"
+            "    stamp = t.time()\n"
+            "    pick = rnd.choice(x)\n"
+            "    mode = environ.get('X')\n"
+            "    return stamp, pick, mode\n")
+        assert [(rule, line) for rule, line, _ in
+                det_findings(path, "exec/worker.py")] == [
+            ("det-env-read", 8), ("det-unseeded-random", 7),
+            ("det-wallclock", 6)]
+
+    def test_defs_outside_the_call_graph_are_scanned(self, tmp_path):
+        # a def under a module-level if, and a property getter shadowed by
+        # its setter, are not functions of their own in the call graph
+        path = tmp_path / "worker.py"
+        path.write_text(
+            "import sys, time\n"
+            "if sys.platform:\n"
+            "    def stamp():\n"
+            "        return time.time()\n"
+            "class Clock:\n"
+            "    @property\n"
+            "    def now(self):\n"
+            "        return time.time()\n"
+            "    @now.setter\n"
+            "    def now(self, value):\n"
+            "        self.value = value\n")
+        assert det_findings(path, "exec/worker.py") == [
+            ("det-wallclock", 4, 15), ("det-wallclock", 8, 15)]
+
+
 class TestFramework:
     def test_rule_registry_is_sorted_and_nonempty(self):
         ids = [rule.id for rule in all_rules()]

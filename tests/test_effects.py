@@ -109,6 +109,72 @@ class TestCallGraph:
         graph = callgraph.build_call_graph(tmp_path)
         assert graph.functions["mod:caller"].calls == []
 
+    def test_typed_receivers_resolve(self, tmp_path):
+        # ``run`` is defined twice, so the unique-method heuristic binds
+        # nothing; the receiver's class decides
+        (tmp_path / "engines.py").write_text(
+            "class Sandbox:\n"
+            "    def run(self):\n        return 1\n"
+            "class Database:\n"
+            "    def run(self):\n        return 2\n")
+        (tmp_path / "main.py").write_text(
+            "from typing import Optional\n"
+            "import engines\n"
+            "from engines import Sandbox\n"
+            "class Pipeline:\n"
+            "    def __init__(self, sandbox=None):\n"
+            "        self.sandbox = sandbox or Sandbox()\n"
+            "        self.db = None\n"
+            "        self.db = engines.Database()\n"
+            "        self.other = Sandbox()\n"
+            "        self.other = engines.Database()\n"
+            "    def attr(self):\n        return self.sandbox.run()\n"
+            "    def attr_after_none(self):\n        return self.db.run()\n"
+            "    def attr_conflicting(self):\n"
+            "        return self.other.run()\n"
+            "def param(box: Optional[Sandbox] = None):\n"
+            "    return box.run()\n"
+            "def local(box=None):\n"
+            "    box = box or engines.Database()\n"
+            "    return box.run()\n"
+            "def rebound(items):\n"
+            "    box = Sandbox()\n"
+            "    for box in items:\n"
+            "        pass\n"
+            "    return box.run()\n")
+        graph = callgraph.build_call_graph(tmp_path)
+
+        def targets(name):
+            return [site.target for site in graph.functions[name].calls
+                    if site.target.endswith(".run")]
+
+        assert targets("main:Pipeline.attr") == ["engines:Sandbox.run"]
+        assert targets("main:Pipeline.attr_after_none") \
+            == ["engines:Database.run"]
+        assert targets("main:Pipeline.attr_conflicting") == []
+        assert targets("main:param") == ["engines:Sandbox.run"]
+        assert targets("main:local") == ["engines:Database.run"]
+        assert targets("main:rebound") == []
+
+    def test_sandbox_execute_is_reached_from_the_api_worker(
+            self, live_project):
+        execute = "repro.sandbox.executor:ExecutionSandbox.execute"
+        callers = [caller for caller, _ in
+                   live_project.graph.callers_of()[execute]]
+        assert "repro.core.pipeline:NetworkManagementPipeline._execute_python" \
+            in callers
+        assert "repro.synthesis.temporal:run_temporal_program" in callers
+        # thread_chain is the shortest chain from any thread root; the api
+        # worker reaches the sandbox through the temporal benchmark worker
+        chain = live_project.thread_chain(execute)
+        assert chain[0] in live_project.graph.thread_roots
+        assert chain[-2:] == ["repro.synthesis.temporal:run_temporal_program",
+                              execute]
+        assert "repro.benchmark.tasks:run_temporal_cell" in chain
+        api_calls = [site.target for site in live_project.graph.functions[
+            "repro.api:run_api_cell"].calls]
+        assert chain[0] in api_calls
+
     def test_worker_ref_string_detection(self):
         project = fixture_project("effect_worker_purity_bad.py")
         assert project.graph.worker_roots == [
