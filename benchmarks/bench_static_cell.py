@@ -15,6 +15,9 @@ Each cell is split into the stages of the static answer path:
   (``read_networkx_view`` / ``read_frame_view`` / ``read_sql_view``: a
   ``from_*`` conversion, or the shared unwritten graph when the cell wrote
   nothing);
+* ``golden`` — ``GoldenAnswerSelector.golden_for`` (the reference answer:
+  the runner keeps it per (query, graph), so each pass computes it in the
+  cells of its first backend, ``sql``, and the other backends' cells hit);
 * ``diff`` — ``diff_graphs`` in the evaluator;
 * ``total`` — the whole ``run_query`` call.
 
@@ -54,7 +57,7 @@ APPLICATIONS = ("traffic_analysis", "malt")
 BACKENDS = ("sql", "pandas", "networkx")
 #: timed passes over every application's grid
 ROUNDS = 3
-STAGES = ("prompt", "view", "execute", "round_trip", "diff", "total")
+STAGES = ("prompt", "view", "execute", "round_trip", "golden", "diff", "total")
 #: application-module builders counted per application and pass
 COUNTED = ("to_networkx", "to_frames", "to_sql_database", "compute_stats")
 
@@ -83,6 +86,7 @@ class StaticStageTimer(StageTimer):
 
     def install(self) -> "StaticStageTimer":
         from repro.benchmark import evaluator
+        from repro.benchmark.goldens import GoldenAnswerSelector
         from repro.core import application, pipeline
         from repro.sandbox.executor import ExecutionSandbox
         from repro.sqlengine import Database
@@ -94,6 +98,7 @@ class StaticStageTimer(StageTimer):
         self._time(Database, "execute", "execute")
         for read_back in ("read_networkx_view", "read_frame_view", "read_sql_view"):
             self._time(application.NetworkApplication, read_back, "round_trip")
+        self._time(GoldenAnswerSelector, "golden_for", "golden")
         self._time(evaluator, "diff_graphs", "diff")
         for builder in COUNTED:
             self._count(application, builder)

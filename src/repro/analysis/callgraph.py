@@ -58,8 +58,9 @@ MODULE_FUNCTION = "<module>"
 COMMON_METHOD_NAMES = frozenset({
     "add", "append", "clear", "close", "copy", "count", "decode", "discard",
     "encode", "endswith", "extend", "flush", "format", "get", "index",
-    "insert", "items", "join", "keys", "lower", "pop", "popitem", "read",
-    "readline", "readlines", "remove", "replace", "reverse", "rsplit",
+    "insert", "items", "join", "keys", "lower", "partition", "pop", "popitem",
+    "read", "readline", "readlines", "remove", "replace", "reverse", "rpartition",
+    "rsplit",
     "rstrip", "seek", "set", "setdefault", "sort", "split", "splitlines",
     "startswith", "strip", "tell", "title", "update", "upper", "values",
     "wait", "write",

@@ -372,7 +372,10 @@ class BenchmarkRunner:
         with span("benchmark.cell", attrs={"query": query.query_id,
                                            "model": model, "backend": backend}):
             provider = create_provider(model, calibration=self.config.calibration)
-            pipeline = NetworkManagementPipeline(application, provider, backend)
+            # the simulated models' programs come from their finite
+            # template and fault tables: validate and compile each once
+            pipeline = NetworkManagementPipeline(application, provider, backend,
+                                                 cache_code=True)
             metadata = query.metadata(bucket_size(query.application, query.complexity))
             request = QueryRequest(query=query.text, backend=backend, metadata=metadata,
                                    attempt=attempt, feedback=feedback)

@@ -68,15 +68,24 @@ class PipelineResult:
 
 
 class NetworkManagementPipeline:
-    """Wire an application, an LLM provider, and the sandbox together."""
+    """Wire an application, an LLM provider, and the sandbox together.
+
+    With *cache_code*, generated Python is validated and compiled once per
+    distinct source (``ExecutionSandbox.execute(cache_code=True)``).  Only
+    callers whose sources come from a finite table may set it: the
+    benchmark's simulated models render a fixed template and fault table,
+    while freeform ``ask`` writes parsed values into the source.
+    """
 
     def __init__(self, application: NetworkApplication, provider: LlmProvider,
-                 backend: str, sandbox: Optional[ExecutionSandbox] = None) -> None:
+                 backend: str, sandbox: Optional[ExecutionSandbox] = None,
+                 cache_code: bool = False) -> None:
         require_in(backend, ("networkx", "pandas", "sql", "strawman"), "backend")
         self.application = application
         self.provider = provider
         self.backend = backend
         self.sandbox = sandbox or ExecutionSandbox()
+        self.cache_code = cache_code
 
     # ------------------------------------------------------------------
     def run(self, request: QueryRequest) -> PipelineResult:
@@ -137,7 +146,7 @@ class NetworkManagementPipeline:
             nodes_df, edges_df = self.application.frame_view()
             namespace = {"nodes_df": nodes_df, "edges_df": edges_df}
 
-        outcome = self.sandbox.execute(result.code, namespace)
+        outcome = self.sandbox.execute(result.code, namespace, cache_code=self.cache_code)
         result.execution = outcome
         if outcome.failed:
             result.error_stage = "execute"

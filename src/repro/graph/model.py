@@ -16,6 +16,7 @@ conversions loss-free and easy to reason about.
 from __future__ import annotations
 
 import copy as _copy
+from itertools import chain
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.utils.validation import ValidationError, require
@@ -23,6 +24,21 @@ from repro.utils.validation import ValidationError, require
 
 class GraphError(ValidationError):
     """Raised for structurally invalid graph operations."""
+
+
+#: attribute values a shallow copy may share: exact types, so no subclass
+#: can carry mutable state
+_SCALAR_TYPES = frozenset({type(None), bool, int, float, str})
+
+
+def _copies(dicts: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
+    """Fresh plain dicts equal to *dicts* that share no mutable value: a
+    ``dict`` copy of each one whose values are all scalars, else a deep
+    copy.  One type scan over every value settles the common case."""
+    if _SCALAR_TYPES.issuperset(map(type, chain.from_iterable(map(dict.values, dicts)))):
+        return list(map(dict, dicts))
+    return [dict(attrs) if _SCALAR_TYPES.issuperset(map(type, attrs.values()))
+            else dict(_copy.deepcopy(attrs)) for attrs in dicts]
 
 
 NodeId = Any
@@ -276,28 +292,46 @@ class PropertyGraph:
         return matches
 
     def subgraph(self, node_ids: Iterable[NodeId]) -> "PropertyGraph":
-        """Return a deep-copied subgraph induced on *node_ids*."""
+        """Return a deep-copied subgraph induced on *node_ids*.
+
+        Attribute dicts are copied as :meth:`copy` copies them, and nodes
+        and edges are stored in the order ``add_node``/``add_edge`` calls
+        over the kept nodes and then the induced edges would store them.
+        """
         keep = set(node_ids)
         missing = keep - set(self._nodes)
         require(not missing, f"subgraph references unknown nodes: {sorted(map(str, missing))}")
-        sub = PropertyGraph(name=f"{self.name}.subgraph", directed=self.directed)
-        for nid in keep:
-            sub.add_node(nid, **_copy.deepcopy(self._nodes[nid]))
-        for source, target, attrs in self.edges(data=True):
-            if source in keep and target in keep:
-                sub.add_edge(source, target, **_copy.deepcopy(attrs))
-        sub.graph_attributes = _copy.deepcopy(self.graph_attributes)
-        return sub
+        return self._filled_copy(
+            f"{self.name}.subgraph", list(keep),
+            [edge for edge in self.edges(data=True) if edge[0] in keep and edge[1] in keep])
 
     def copy(self) -> "PropertyGraph":
-        """Deep copy of the graph (attribute dictionaries are not shared)."""
-        duplicate = PropertyGraph(name=self.name, directed=self.directed)
-        for nid, attrs in self._nodes.items():
-            duplicate.add_node(nid, **_copy.deepcopy(attrs))
-        for source, target, attrs in self.edges(data=True):
-            duplicate.add_edge(source, target, **_copy.deepcopy(attrs))
-        duplicate.graph_attributes = _copy.deepcopy(self.graph_attributes)
-        return duplicate
+        """Deep copy of the graph: no attribute dict or value is shared.
+
+        The copy is filled in one pass through ``convert._store``, in the
+        order ``add_node``/``add_edge`` calls over :meth:`nodes` and
+        :meth:`edges` would fill it.  An attribute dict whose values are all
+        of an exact immutable scalar type (``None``, ``bool``, ``int``,
+        ``float``, ``str``) is copied with ``dict``; any other is
+        deep-copied.
+        """
+        return self._filled_copy(self.name, list(self._nodes), self.edges(data=True))
+
+    def _filled_copy(self, name: str, node_ids: List[NodeId],
+                     edges: List[Tuple[NodeId, NodeId, AttrDict]]) -> "PropertyGraph":
+        """A graph holding copies of the attributes of *node_ids* and *edges*
+        and of the graph attributes."""
+        from repro.graph.convert import _store  # local import: convert imports this module
+
+        graph = PropertyGraph(name=name, directed=self.directed)
+        node_attrs = _copies([self._nodes[nid] for nid in node_ids])
+        edge_attrs = _copies([attrs for _, _, attrs in edges])
+        _store(graph._nodes, graph._succ, graph._pred, self.directed,
+               zip(node_ids, node_attrs),
+               ((source, target, attrs)
+                for (source, target, _), attrs in zip(edges, edge_attrs)))
+        graph.graph_attributes = _copy.deepcopy(self.graph_attributes)
+        return graph
 
     def total_edge_weight(self, key: str) -> float:
         """Sum an edge attribute over all edges, treating missing values as 0."""

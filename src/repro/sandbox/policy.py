@@ -48,7 +48,7 @@ DEFAULT_FORBIDDEN_CALLS: FrozenSet[str] = frozenset({
 DEFAULT_FORBIDDEN_ATTRIBUTES: FrozenSet[str] = frozenset({
     "__globals__", "__builtins__", "__subclasses__", "__bases__", "__mro__",
     "__code__", "__closure__", "__getattribute__", "__reduce__", "__reduce_ex__",
-    "__class__", "__dict__", "__loader__", "__spec__",
+    "__class__", "__dict__", "__loader__", "__spec__", "__base__",
     # a networkx view's dicts record writes through their own methods
     "__setitem__", "__delitem__", "__ior__", "__init__",
 })
@@ -68,6 +68,10 @@ class SandboxPolicy:
         """Return a copy of the policy that also allows importing *modules*."""
         return replace(self, allowed_imports=frozenset(self.allowed_imports)
                        | set(modules))
+
+
+#: builtins whose second argument names an attribute of the first
+_ATTRIBUTE_BUILTINS = frozenset({"getattr", "setattr", "hasattr"})
 
 
 class PolicyVisitor(ast.NodeVisitor):
@@ -105,16 +109,24 @@ class PolicyVisitor(ast.NodeVisitor):
         name = _call_name(node)
         if name in self.policy.forbidden_calls:
             self._record(node, f"call to {name!r} is not allowed")
+        if (isinstance(node.func, ast.Name) and name in _ATTRIBUTE_BUILTINS
+                and len(node.args) >= 2 and isinstance(node.args[1], ast.Constant)
+                and isinstance(node.args[1].value, str)):
+            # getattr(x, "name") reaches the same attribute as x.name
+            self._check_attribute(node, node.args[0], node.args[1].value)
         self.generic_visit(node)
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
-        if node.attr in self.policy.forbidden_attributes:
-            self._record(node, f"access to attribute {node.attr!r} is not allowed")
-        elif (isinstance(node.value, ast.Name) and node.value.id == "dict"
-              and node.attr in DICT_MUTATORS):
-            # dict.update(d, ...) would write to d behind its own methods
-            self._record(node, f"access to dict.{node.attr} is not allowed")
+        self._check_attribute(node, node.value, node.attr)
         self.generic_visit(node)
+
+    def _check_attribute(self, node: ast.AST, owner: ast.AST, attr: str) -> None:
+        if attr in self.policy.forbidden_attributes:
+            self._record(node, f"access to attribute {attr!r} is not allowed")
+        elif (isinstance(owner, ast.Name) and owner.id == "dict"
+              and attr in DICT_MUTATORS):
+            # dict.update(d, ...) would write to d behind its own methods
+            self._record(node, f"access to dict.{attr} is not allowed")
 
     def visit_Name(self, node: ast.Name) -> None:
         if node.id in ("__builtins__",):

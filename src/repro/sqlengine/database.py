@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import copy as _copy
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.sqlengine.errors import SqlExecutionError
 
@@ -55,11 +55,12 @@ class Table:
             self._column_values = None
         return self._rows
 
-    def row_values(self) -> Iterator[Sequence[Any]]:
-        """Each row's values in column order, without building row dicts."""
+    def row_values(self) -> Iterator[Tuple[Any, ...]]:
+        """Each row's values, as a tuple in column order, without building
+        row dicts."""
         if self._column_values is not None:
             return zip(*self._column_values)
-        return (list(map(row.get, self.columns)) for row in self._rows)
+        return (tuple(map(row.get, self.columns)) for row in self._rows)
 
     def insert(self, row: Row) -> None:
         """Insert a row; unknown columns are rejected, missing ones become NULL."""

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from operator import itemgetter
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.sqlengine.ast_nodes import (
     ColumnRef,
@@ -10,7 +11,6 @@ from repro.sqlengine.ast_nodes import (
     Expression,
     FunctionCall,
     InsertStatement,
-    JoinClause,
     Literal,
     SelectItem,
     SelectStatement,
@@ -22,13 +22,21 @@ from repro.sqlengine.ast_nodes import (
 from repro.sqlengine.database import Database, ResultSet, Table
 from repro.sqlengine.errors import SqlExecutionError
 from repro.sqlengine.expressions import (
+    Compiled,
+    Scope,
+    compile_aggregate,
+    compile_expression,
     contains_aggregate,
-    evaluate,
-    evaluate_aggregate,
+    key_scope,
 )
 from repro.sqlengine.parser import parse_statement
 
 Row = Dict[str, Any]
+Values = Tuple[Any, ...]
+
+#: the name ORDER BY reads a projected row's whole source row under; an
+#: output column of that name is left out of the result rows
+_SOURCE_ROW = "__source_row__"
 
 
 def execute_sql(database: Database, sql: str) -> Optional[ResultSet]:
@@ -55,54 +63,39 @@ def execute_statement(database: Database, statement: Statement) -> Optional[Resu
 
 # ---------------------------------------------------------------------------
 # SELECT
+#
+# A SELECT is planned once per execution, in locals.  A row is a tuple of
+# the values of the FROM table and then of each joined table, and the scope
+# maps every name the row answers to (bare and ``alias.column``, a later
+# table's column winning a shared name) to the getter of its position.
+# WHERE, ON, GROUP BY, HAVING and the select list run as closures over these
+# tuples; dicts are built only for the rows the statement returns.
 # ---------------------------------------------------------------------------
-def _rows_for_table(table: Table, ref: TableRef) -> List[Row]:
-    """Produce rows keyed both by bare column name and by qualified name."""
+def _add_columns(scope: Scope, table: Table, ref: TableRef, offset: int) -> None:
+    """Add *table*'s columns, at *offset* in the row tuple, to *scope*."""
     alias = ref.effective_name
-    names = [(column, f"{alias}.{column}") for column in table.columns]
-    rows = []
-    for values in table.row_values():
-        row: Row = {}
-        for (column, qualified), value in zip(names, values):
-            row[column] = value
-            row[qualified] = value
-        rows.append(row)
-    return rows
+    for index, column in enumerate(table.columns, offset):
+        getter = itemgetter(index)
+        scope[column] = getter
+        scope[f"{alias}.{column}"] = getter
 
 
-def _merge_rows(left: Row, right: Row) -> Row:
-    merged = dict(left)
-    merged.update(right)
-    return merged
-
-
-def _null_row_like(table: Table, ref: TableRef) -> Row:
-    alias = ref.effective_name
-    row: Row = {}
-    for column in table.columns:
-        row[column] = None
-        row[f"{alias}.{column}"] = None
-    return row
-
-
-def _apply_joins(database: Database, base_rows: List[Row],
-                 joins: List[JoinClause]) -> List[Row]:
-    rows = base_rows
-    for join in joins:
-        right_table = database.table(join.table.name)
-        right_rows = _rows_for_table(right_table, join.table)
-        joined: List[Row] = []
-        for left_row in rows:
-            matched = False
-            for right_row in right_rows:
-                candidate = _merge_rows(left_row, right_row)
-                if bool(evaluate(join.condition, candidate)):
-                    joined.append(candidate)
-                    matched = True
-            if not matched and join.join_type == "LEFT":
-                joined.append(_merge_rows(left_row, _null_row_like(right_table, join.table)))
-        rows = joined
-    return rows
+def _join(rows: Iterable[Values], right_rows: List[Values], condition: Compiled,
+          left_join: bool, right_width: int) -> List[Values]:
+    """Nested-loop join: every pair passing *condition*, and for a LEFT
+    join each unmatched left row padded with NULLs."""
+    joined: List[Values] = []
+    nulls = (None,) * right_width
+    for left in rows:
+        matched = False
+        for right in right_rows:
+            candidate = left + right
+            if condition(candidate):
+                joined.append(candidate)
+                matched = True
+        if not matched and left_join:
+            joined.append(left + nulls)
+    return joined
 
 
 def _item_output_name(item: SelectItem, index: int) -> str:
@@ -120,108 +113,115 @@ def _item_output_name(item: SelectItem, index: int) -> str:
     return f"column_{index}"
 
 
-def _expand_star(row: Row, table_filter: Optional[str]) -> List[Tuple[str, Any]]:
-    """Return the bare-named columns of a row (optionally for one table alias)."""
-    pairs = []
-    for key, value in row.items():
-        if "." in key:
-            continue
-        if table_filter is not None and f"{table_filter}.{key}" not in row:
-            continue
-        pairs.append((key, value))
-    return pairs
+def _star_columns(scope: Scope, table_filter: Optional[str]) -> List[Tuple[str, Compiled]]:
+    """The bare-named columns of a row (optionally for one table alias)."""
+    return [(key, getter) for key, getter in scope.items()
+            if "." not in key
+            and (table_filter is None or f"{table_filter}.{key}" in scope)]
 
 
 def _execute_select(database: Database, statement: SelectStatement) -> ResultSet:
     if statement.table is None:
         # SELECT of pure expressions, e.g. SELECT 1 + 1
-        row: Row = {}
         out_row: Row = {}
         columns: List[str] = []
         for index, item in enumerate(statement.items):
             if isinstance(item.expression, Star):
                 raise SqlExecutionError("SELECT * requires a FROM clause")
             name = _item_output_name(item, index)
-            out_row[name] = evaluate(item.expression, row)
+            out_row[name] = compile_expression(item.expression, {})({})
             columns.append(name)
         return ResultSet(columns, [out_row])
 
     base_table = database.table(statement.table.name)
-    rows = _rows_for_table(base_table, statement.table)
-    rows = _apply_joins(database, rows, statement.joins)
+    scope: Scope = {}
+    _add_columns(scope, base_table, statement.table, 0)
+    width = len(base_table.columns)
+    rows: Iterable[Values] = base_table.row_values()
+    for join in statement.joins:
+        right_table = database.table(join.table.name)
+        _add_columns(scope, right_table, join.table, width)
+        width += len(right_table.columns)
+        rows = _join(rows, list(right_table.row_values()),
+                     compile_expression(join.condition, scope),
+                     join.join_type == "LEFT", len(right_table.columns))
 
     if statement.where is not None:
-        rows = [row for row in rows if bool(evaluate(statement.where, row))]
+        where = compile_expression(statement.where, scope)
+        rows = [row for row in rows if where(row)]
+    else:
+        rows = list(rows)
 
     has_aggregate = any(contains_aggregate(item.expression) for item in statement.items)
     if statement.having is not None and not statement.group_by and not has_aggregate:
         raise SqlExecutionError("HAVING requires GROUP BY or aggregate functions")
 
+    # each output row goes with its source row, for ORDER BY; a grouped
+    # output row has none
+    source_scope: Optional[Scope]
     if statement.group_by or has_aggregate:
-        result_rows, columns = _execute_grouped(statement, rows)
+        out_rows, columns = _execute_grouped(statement, scope, rows)
+        paired: List[Tuple[Row, Optional[Values]]] = [(row, None) for row in out_rows]
+        source_scope = None
     else:
-        result_rows, columns = _execute_plain(statement, rows)
+        out_rows, columns = _execute_plain(statement, scope, rows)
+        paired = list(zip(out_rows, rows))
+        source_scope = scope
 
     if statement.distinct:
-        deduped: List[Row] = []
+        deduped: List[Tuple[Row, Optional[Values]]] = []
         seen = set()
-        for row in result_rows:
-            key = tuple(repr(row[c]) for c in columns)
+        for pair in paired:
+            key = tuple(repr(pair[0][c]) for c in columns)
             if key not in seen:
                 seen.add(key)
-                deduped.append(row)
-        result_rows = deduped
+                deduped.append(pair)
+        paired = deduped
 
     if statement.order_by:
-        result_rows = _apply_order_by(statement, result_rows, columns)
+        paired = _apply_order_by(statement, paired, columns, source_scope)
 
     if statement.limit is not None:
-        result_rows = result_rows[: statement.limit]
+        paired = paired[: statement.limit]
 
-    result_rows = [{key: value for key, value in row.items() if key != "__source_row__"}
-                   for row in result_rows]
+    result_rows = [row for row, _ in paired]
+    if _SOURCE_ROW in columns:
+        result_rows = [{key: value for key, value in row.items() if key != _SOURCE_ROW}
+                       for row in result_rows]
     return ResultSet(columns, result_rows)
 
 
-def _execute_plain(statement: SelectStatement, rows: List[Row]) -> Tuple[List[Row], List[str]]:
-    out_rows: List[Row] = []
-    columns: List[str] = []
-    for row_index, row in enumerate(rows):
-        out_row: Row = {}
-        current_columns: List[str] = []
-        for index, item in enumerate(statement.items):
-            if isinstance(item.expression, Star):
-                for key, value in _expand_star(row, item.expression.table):
-                    out_row[key] = value
-                    current_columns.append(key)
-                continue
-            name = _item_output_name(item, index)
-            out_row[name] = evaluate(item.expression, row)
-            current_columns.append(name)
-        if row_index == 0:
-            columns = current_columns
-        # keep the source row so ORDER BY may reference columns that were not
-        # projected (standard SQL behaviour); it is stripped before returning
-        out_row["__source_row__"] = row
-        out_rows.append(out_row)
+def _execute_plain(statement: SelectStatement, scope: Scope,
+                   rows: List[Values]) -> Tuple[List[Row], List[str]]:
+    names: List[str] = []
+    functions: List[Compiled] = []
+    for index, item in enumerate(statement.items):
+        if isinstance(item.expression, Star):
+            for key, getter in _star_columns(scope, item.expression.table):
+                names.append(key)
+                functions.append(getter)
+            continue
+        names.append(_item_output_name(item, index))
+        functions.append(compile_expression(item.expression, scope))
     if not rows:
         # derive column names from the select list only
-        for index, item in enumerate(statement.items):
-            if isinstance(item.expression, Star):
-                continue
-            columns.append(_item_output_name(item, index))
-    return out_rows, columns
+        return [], [_item_output_name(item, index)
+                    for index, item in enumerate(statement.items)
+                    if not isinstance(item.expression, Star)]
+    # a repeated name keeps its first position and its last value, as
+    # assigning the items into one dict in order would
+    out_rows = [dict(zip(names, [function(row) for function in functions]))
+                for row in rows]
+    return out_rows, names
 
 
-def _group_key(row: Row, group_by: List[Expression]) -> Tuple:
-    return tuple(repr(evaluate(expression, row)) for expression in group_by)
-
-
-def _execute_grouped(statement: SelectStatement, rows: List[Row]) -> Tuple[List[Row], List[str]]:
-    groups: Dict[Tuple, List[Row]] = {}
+def _execute_grouped(statement: SelectStatement, scope: Scope,
+                     rows: List[Values]) -> Tuple[List[Row], List[str]]:
+    groups: Dict[Tuple, List[Values]] = {}
     if statement.group_by:
+        keys = [compile_expression(expression, scope) for expression in statement.group_by]
         for row in rows:
-            groups.setdefault(_group_key(row, statement.group_by), []).append(row)
+            groups.setdefault(tuple([repr(key(row)) for key in keys]), []).append(row)
     else:
         groups[("__all__",)] = rows
 
@@ -230,23 +230,34 @@ def _execute_grouped(statement: SelectStatement, rows: List[Row]) -> Tuple[List[
         if isinstance(item.expression, Star):
             raise SqlExecutionError("SELECT * cannot be combined with GROUP BY/aggregates")
 
+    items = [(name, _compile_group_value(item.expression, scope))
+             for name, item in zip(columns, statement.items)]
+    having = (None if statement.having is None
+              else _compile_group_value(statement.having, scope, empty_scope=True))
     out_rows: List[Row] = []
     for group_rows in groups.values():
         out_row: Row = {}
-        for index, item in enumerate(statement.items):
-            name = _item_output_name(item, index)
-            if contains_aggregate(item.expression):
-                out_row[name] = evaluate_aggregate(item.expression, group_rows)
-            else:
-                out_row[name] = evaluate(item.expression, group_rows[0]) if group_rows else None
-        if statement.having is not None:
-            having_value = (evaluate_aggregate(statement.having, group_rows)
-                            if contains_aggregate(statement.having)
-                            else evaluate(statement.having, group_rows[0] if group_rows else {}))
-            if not bool(having_value):
-                continue
+        for name, value in items:
+            out_row[name] = value(group_rows)
+        if having is not None and not having(group_rows):
+            continue
         out_rows.append(out_row)
     return out_rows, columns
+
+
+def _compile_group_value(expression: Expression, scope: Scope, empty_scope: bool = False) -> Compiled:
+    """A closure over one group: an aggregate expression over all of its
+    rows, any other over its first row.  Over an empty group that is NULL,
+    or with *empty_scope* the expression over an empty row (HAVING)."""
+    if contains_aggregate(expression):
+        return compile_aggregate(expression, scope)
+    first = compile_expression(expression, scope)
+    if not empty_scope:
+        return lambda rows: first(rows[0]) if rows else None
+
+    def value(rows: List[Values]) -> Any:
+        return first(rows[0]) if rows else compile_expression(expression, {})({})
+    return value
 
 
 def _order_sort_key(value: Any) -> Tuple:
@@ -259,34 +270,51 @@ def _order_sort_key(value: Any) -> Tuple:
     return (2, str(value), 0.0)
 
 
-def _apply_order_by(statement: SelectStatement, rows: List[Row],
-                    columns: List[str]) -> List[Row]:
-    ordered = list(rows)
+def _apply_order_by(statement: SelectStatement,
+                    paired: List[Tuple[Row, Optional[Values]]], columns: List[str],
+                    source_scope: Optional[Scope]) -> List[Tuple[Row, Optional[Values]]]:
+    """Sort (output row, source row) pairs.  ORDER BY may reference an
+    output name, a positional index, or an expression over the output row,
+    and then over the source row where the output row does not answer it."""
+    output_scope: Scope = {name: (lambda pair, name=name: pair[0][name])
+                           for name in dict.fromkeys(columns)}
+    if source_scope is not None:
+        output_scope[_SOURCE_ROW] = lambda pair: {
+            key: getter(pair[1]) for key, getter in source_scope.items()}
+    ordered = list(paired)
     for order_item in reversed(statement.order_by):
-        expression = order_item.expression
-
-        def key_function(row: Row, expr: Expression = expression) -> Tuple:
-            # ORDER BY may reference an output alias, a positional index, or a
-            # column of the underlying (pre-projection) row.
-            if isinstance(expr, ColumnRef) and expr.table is None and expr.name in row:
-                return _order_sort_key(row[expr.name])
-            if isinstance(expr, Literal) and isinstance(expr.value, int):
-                index = expr.value - 1
-                if 0 <= index < len(columns):
-                    return _order_sort_key(row[columns[index]])
-            try:
-                return _order_sort_key(evaluate(expr, row))
-            except SqlExecutionError:
-                source_row = row.get("__source_row__")
-                if source_row is not None:
-                    try:
-                        return _order_sort_key(evaluate(expr, source_row))
-                    except SqlExecutionError:
-                        return _order_sort_key(None)
-                return _order_sort_key(None)
-
-        ordered.sort(key=key_function, reverse=not order_item.ascending)
+        ordered.sort(key=_order_key(order_item.expression, output_scope, columns,
+                                    source_scope),
+                     reverse=not order_item.ascending)
     return ordered
+
+
+def _order_key(expression: Expression, output_scope: Scope, columns: List[str],
+               source_scope: Optional[Scope]) -> Callable[[Tuple[Row, Any]], Tuple]:
+    if (isinstance(expression, ColumnRef) and expression.table is None
+            and expression.name in output_scope):
+        getter = output_scope[expression.name]
+        return lambda pair: _order_sort_key(getter(pair))
+    if isinstance(expression, Literal) and isinstance(expression.value, int):
+        index = expression.value - 1
+        if 0 <= index < len(columns):
+            getter = output_scope[columns[index]]
+            return lambda pair: _order_sort_key(getter(pair))
+    on_output = compile_expression(expression, output_scope)
+    on_source = (None if source_scope is None
+                 else compile_expression(expression, source_scope))
+
+    def key(pair: Tuple[Row, Any]) -> Tuple:
+        try:
+            return _order_sort_key(on_output(pair))
+        except SqlExecutionError:
+            if on_source is not None:
+                try:
+                    return _order_sort_key(on_source(pair[1]))
+                except SqlExecutionError:
+                    pass
+            return _order_sort_key(None)
+    return key
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +327,8 @@ def _execute_insert(database: Database, statement: InsertStatement) -> None:
         if len(values) != len(columns):
             raise SqlExecutionError(
                 f"INSERT column/value count mismatch: {len(columns)} vs {len(values)}")
-        row = {column: evaluate(value, {}) for column, value in zip(columns, values)}
+        row = {column: compile_expression(value, {})({})
+               for column, value in zip(columns, values)}
         table.insert(row)
 
 
@@ -309,10 +338,14 @@ def _execute_update(database: Database, statement: UpdateStatement) -> None:
         if column not in table.columns:
             raise SqlExecutionError(
                 f"table {table.name!r} has no column {column!r} to update")
+    scope = key_scope(table.columns)
+    where = None if statement.where is None else compile_expression(statement.where, scope)
+    assignments = [(column, compile_expression(expression, scope))
+                   for column, expression in statement.assignments]
     for row in table.rows:
-        if statement.where is None or bool(evaluate(statement.where, row)):
-            for column, expression in statement.assignments:
-                row[column] = evaluate(expression, row)
+        if where is None or where(row):
+            for column, value in assignments:
+                row[column] = value(row)
 
 
 def _execute_delete(database: Database, statement: DeleteStatement) -> None:
@@ -320,5 +353,5 @@ def _execute_delete(database: Database, statement: DeleteStatement) -> None:
     if statement.where is None:
         table.rows.clear()
         return
-    table.rows[:] = [row for row in table.rows
-                     if not bool(evaluate(statement.where, row))]
+    where = compile_expression(statement.where, key_scope(table.columns))
+    table.rows[:] = [row for row in table.rows if not where(row)]

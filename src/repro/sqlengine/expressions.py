@@ -1,9 +1,21 @@
-"""Expression evaluation for the in-memory SQL engine."""
+"""Expression compilation for the in-memory SQL engine.
+
+Every expression is compiled once per statement execution into a closure
+over one row, and an aggregate expression into a closure over one group of
+rows.  A row is whatever its *scope* reads: the scope maps each name the
+row answers to, in the row's key order, to a getter (an
+``operator.itemgetter`` of a tuple position or of a dict key).  Column
+names are resolved when the closure is built; a name that does not
+resolve compiles to a closure raising the lookup's error, so errors still
+come from the first row that reaches them, in evaluation order, and an
+expression no row reaches raises nothing.
+"""
 
 from __future__ import annotations
 
+import operator
 import re
-from typing import Any, Dict, List
+from typing import Any, Callable, Dict, Iterable, List
 
 from repro.sqlengine.ast_nodes import (
     Between,
@@ -20,25 +32,39 @@ from repro.sqlengine.ast_nodes import (
 )
 from repro.sqlengine.errors import SqlExecutionError
 
-Row = Dict[str, Any]
+#: a row's names, in the row's key order, each to the getter of its value
+Scope = Dict[str, Callable[[Any], Any]]
+Compiled = Callable[[Any], Any]
 
 
-def resolve_column(row: Row, ref: ColumnRef) -> Any:
-    """Look up a column reference in a (possibly table-qualified) row."""
+def key_scope(keys: Iterable[str]) -> Scope:
+    """The scope of dict rows holding *keys*."""
+    return {key: operator.itemgetter(key) for key in keys}
+
+
+def _raiser(message: str) -> Compiled:
+    def fail(_row: Any) -> Any:
+        raise SqlExecutionError(message)
+    return fail
+
+
+def _column(scope: Scope, ref: ColumnRef) -> Compiled:
+    """The getter of a (possibly table-qualified) column reference in rows
+    of *scope*, or a closure raising the lookup's error."""
     if ref.table is not None:
         qualified = f"{ref.table}.{ref.name}"
-        if qualified in row:
-            return row[qualified]
-        raise SqlExecutionError(f"unknown column {qualified!r}")
-    if ref.name in row:
-        return row[ref.name]
+        if qualified in scope:
+            return scope[qualified]
+        return _raiser(f"unknown column {qualified!r}")
+    if ref.name in scope:
+        return scope[ref.name]
     # fall back: a single unambiguous qualified match
-    matches = [key for key in row if key.endswith(f".{ref.name}")]
+    matches = [key for key in scope if key.endswith(f".{ref.name}")]
     if len(matches) == 1:
-        return row[matches[0]]
+        return scope[matches[0]]
     if len(matches) > 1:
-        raise SqlExecutionError(f"ambiguous column {ref.name!r}: {matches}")
-    raise SqlExecutionError(f"unknown column {ref.name!r}; row has {sorted(row)}")
+        return _raiser(f"ambiguous column {ref.name!r}: {matches}")
+    return _raiser(f"unknown column {ref.name!r}; row has {sorted(scope)}")
 
 
 def _like_to_regex(pattern: str) -> str:
@@ -61,102 +87,186 @@ def _numeric(value: Any, context: str) -> float:
     raise SqlExecutionError(f"{context} requires a numeric value, got {value!r}")
 
 
-def evaluate(expression: Expression, row: Row) -> Any:
-    """Evaluate a scalar expression against one row."""
-    if isinstance(expression, Literal):
-        return expression.value
-    if isinstance(expression, ColumnRef):
-        return resolve_column(row, expression)
-    if isinstance(expression, Star):
-        raise SqlExecutionError("'*' is only valid in SELECT lists and COUNT(*)")
-    if isinstance(expression, UnaryOp):
-        operand = evaluate(expression.operand, row)
-        if expression.operator == "NOT":
-            return not bool(operand)
-        if expression.operator == "-":
-            return -_numeric(operand, "unary minus")
-        if expression.operator == "+":
-            return _numeric(operand, "unary plus")
-        raise SqlExecutionError(f"unknown unary operator {expression.operator!r}")
-    if isinstance(expression, BinaryOp):
-        return _evaluate_binary(expression, row)
-    if isinstance(expression, InList):
-        value = evaluate(expression.operand, row)
-        options = [evaluate(option, row) for option in expression.options]
-        result = value in options
-        return not result if expression.negated else result
-    if isinstance(expression, IsNull):
-        value = evaluate(expression.operand, row)
-        result = value is None
-        return not result if expression.negated else result
-    if isinstance(expression, Between):
-        value = evaluate(expression.operand, row)
-        low = evaluate(expression.low, row)
-        high = evaluate(expression.high, row)
-        result = low <= value <= high
-        return not result if expression.negated else result
-    if isinstance(expression, CaseExpression):
-        for condition, value in expression.branches:
-            if bool(evaluate(condition, row)):
-                return evaluate(value, row)
-        return evaluate(expression.default, row) if expression.default is not None else None
-    if isinstance(expression, FunctionCall):
-        raise SqlExecutionError(
-            f"aggregate function {expression.name} used outside of an aggregation context"
-        )
-    raise SqlExecutionError(f"cannot evaluate expression node {type(expression).__name__}")
-
-
-def _evaluate_binary(node: BinaryOp, row: Row) -> Any:
-    operator = node.operator
-    if operator == "AND":
-        return bool(evaluate(node.left, row)) and bool(evaluate(node.right, row))
-    if operator == "OR":
-        return bool(evaluate(node.left, row)) or bool(evaluate(node.right, row))
-
-    left = evaluate(node.left, row)
-    right = evaluate(node.right, row)
-
-    if operator == "=":
-        return left == right
-    if operator == "<>":
-        return left != right
-    if operator in ("<", "<=", ">", ">="):
+# ---------------------------------------------------------------------------
+# binary operators over two evaluated operands
+# ---------------------------------------------------------------------------
+def _ordering(compare: Callable[[Any, Any], Any]) -> Callable[[Any, Any], Any]:
+    def ordered(left: Any, right: Any) -> Any:
         if left is None or right is None:
             return False
         try:
-            if operator == "<":
-                return left < right
-            if operator == "<=":
-                return left <= right
-            if operator == ">":
-                return left > right
-            return left >= right
+            return compare(left, right)
         except TypeError as exc:
             raise SqlExecutionError(f"cannot compare {left!r} and {right!r}") from exc
-    if operator == "LIKE":
-        if left is None or right is None:
-            return False
-        return re.match(_like_to_regex(str(right)), str(left)) is not None
-    if operator == "||":
-        return f"{'' if left is None else left}{'' if right is None else right}"
-    if operator in ("+", "-", "*", "/", "%"):
-        left_num = _numeric(left, f"operator {operator}")
-        right_num = _numeric(right, f"operator {operator}")
-        if operator == "+":
-            return left_num + right_num
-        if operator == "-":
-            return left_num - right_num
-        if operator == "*":
-            return left_num * right_num
-        if operator == "/":
-            if right_num == 0:
-                raise SqlExecutionError("division by zero")
-            return left_num / right_num
-        if right_num == 0:
-            raise SqlExecutionError("modulo by zero")
-        return left_num % right_num
-    raise SqlExecutionError(f"unknown binary operator {operator!r}")
+    return ordered
+
+
+def _like(left: Any, right: Any) -> bool:
+    if left is None or right is None:
+        return False
+    return re.match(_like_to_regex(str(right)), str(left)) is not None
+
+
+def _concat(left: Any, right: Any) -> str:
+    return f"{'' if left is None else left}{'' if right is None else right}"
+
+
+def _arithmetic(symbol: str, apply: Callable[[Any, Any], Any],
+                zero_error: str = "") -> Callable[[Any, Any], Any]:
+    context = f"operator {symbol}"
+
+    def arithmetic(left: Any, right: Any) -> Any:
+        left_num = _numeric(left, context)
+        right_num = _numeric(right, context)
+        if zero_error and right_num == 0:
+            raise SqlExecutionError(zero_error)
+        return apply(left_num, right_num)
+    return arithmetic
+
+
+_OPERATIONS: Dict[str, Callable[[Any, Any], Any]] = {
+    "AND": lambda left, right: bool(left) and bool(right),
+    "OR": lambda left, right: bool(left) or bool(right),
+    "=": operator.eq,
+    "<>": operator.ne,
+    "<": _ordering(operator.lt),
+    "<=": _ordering(operator.le),
+    ">": _ordering(operator.gt),
+    ">=": _ordering(operator.ge),
+    "LIKE": _like,
+    "||": _concat,
+    "+": _arithmetic("+", operator.add),
+    "-": _arithmetic("-", operator.sub),
+    "*": _arithmetic("*", operator.mul),
+    "/": _arithmetic("/", operator.truediv, "division by zero"),
+    "%": _arithmetic("%", operator.mod, "modulo by zero"),
+}
+
+
+def _operation(symbol: str) -> Callable[[Any, Any], Any]:
+    operation = _OPERATIONS.get(symbol)
+    if operation is None:
+        def operation(left: Any, right: Any) -> Any:
+            raise SqlExecutionError(f"unknown binary operator {symbol!r}")
+    return operation
+
+
+# ---------------------------------------------------------------------------
+# scalar expressions
+# ---------------------------------------------------------------------------
+def compile_expression(expression: Expression, scope: Scope) -> Compiled:
+    """Compile a scalar expression into a closure over one row of *scope*."""
+    if isinstance(expression, Literal):
+        value = expression.value
+        return lambda row: value
+    if isinstance(expression, ColumnRef):
+        return _column(scope, expression)
+    if isinstance(expression, Star):
+        return _raiser("'*' is only valid in SELECT lists and COUNT(*)")
+    if isinstance(expression, UnaryOp):
+        return _compile_unary(expression.operator,
+                              compile_expression(expression.operand, scope))
+    if isinstance(expression, BinaryOp):
+        return _compile_binary(expression, scope)
+    if isinstance(expression, InList):
+        return _compile_in(expression, scope)
+    if isinstance(expression, IsNull):
+        operand = compile_expression(expression.operand, scope)
+        if expression.negated:
+            return lambda row: operand(row) is not None
+        return lambda row: operand(row) is None
+    if isinstance(expression, Between):
+        return _compile_between(expression, scope)
+    if isinstance(expression, CaseExpression):
+        return _compile_case(expression, lambda part: compile_expression(part, scope))
+    if isinstance(expression, FunctionCall):
+        return _raiser(f"aggregate function {expression.name} used outside of an "
+                       f"aggregation context")
+    return _raiser(f"cannot evaluate expression node {type(expression).__name__}")
+
+
+def _compile_unary(symbol: str, operand: Compiled) -> Compiled:
+    """``NOT``, ``-`` or ``+`` of the value *operand* computes (from a row
+    or from a group alike)."""
+    if symbol == "NOT":
+        return lambda row: not operand(row)
+    if symbol == "-":
+        return lambda row: -_numeric(operand(row), "unary minus")
+    if symbol == "+":
+        return lambda row: _numeric(operand(row), "unary plus")
+
+    def unknown(row: Any) -> Any:
+        operand(row)
+        raise SqlExecutionError(f"unknown unary operator {symbol!r}")
+    return unknown
+
+
+def _compile_binary(node: BinaryOp, scope: Scope) -> Compiled:
+    symbol = node.operator
+    left = compile_expression(node.left, scope)
+    right = compile_expression(node.right, scope)
+    if symbol == "AND":
+        return lambda row: bool(left(row)) and bool(right(row))
+    if symbol == "OR":
+        return lambda row: bool(left(row)) or bool(right(row))
+    if isinstance(node.right, Literal):
+        value = node.right.value
+        if symbol == "=":
+            return lambda row: left(row) == value
+        if symbol == "<>":
+            return lambda row: left(row) != value
+        if symbol == "LIKE" and value is not None:
+            pattern = re.compile(_like_to_regex(str(value)))
+
+            def like(row: Any) -> bool:
+                subject = left(row)
+                return subject is not None and pattern.match(str(subject)) is not None
+            return like
+    operation = _operation(symbol)
+    return lambda row: operation(left(row), right(row))
+
+
+def _compile_in(node: InList, scope: Scope) -> Compiled:
+    operand = compile_expression(node.operand, scope)
+    options = [compile_expression(option, scope) for option in node.options]
+    negated = node.negated
+
+    def in_list(row: Any) -> bool:
+        value = operand(row)
+        result = value in [option(row) for option in options]
+        return not result if negated else result
+    return in_list
+
+
+def _compile_between(node: Between, scope: Scope) -> Compiled:
+    operand = compile_expression(node.operand, scope)
+    low = compile_expression(node.low, scope)
+    high = compile_expression(node.high, scope)
+    negated = node.negated
+
+    def between(row: Any) -> Any:
+        value = operand(row)
+        low_value = low(row)
+        high_value = high(row)
+        result = low_value <= value <= high_value
+        return not result if negated else result
+    return between
+
+
+def _compile_case(node: CaseExpression,
+                  compile_part: Callable[[Expression], Compiled]) -> Compiled:
+    """``CASE`` over branches compiled by *compile_part* (scalar or
+    aggregate alike): only the branches up to the first true condition run."""
+    branches = [(compile_part(condition), compile_part(value))
+                for condition, value in node.branches]
+    default = compile_part(node.default) if node.default is not None else None
+
+    def case(row: Any) -> Any:
+        for condition, value in branches:
+            if condition(row):
+                return value(row)
+        return default(row) if default is not None else None
+    return case
 
 
 # ---------------------------------------------------------------------------
@@ -186,69 +296,66 @@ def contains_aggregate(expression: Expression) -> bool:
     return False
 
 
-def evaluate_aggregate(expression: Expression, rows: List[Row]) -> Any:
-    """Evaluate an expression in aggregate context over a group of rows."""
+def compile_aggregate(expression: Expression, scope: Scope) -> Compiled:
+    """Compile an expression in aggregate context into a closure over one
+    group: a list of rows of *scope*."""
     if isinstance(expression, FunctionCall):
-        return _apply_aggregate(expression, rows)
+        return _compile_call(expression, scope)
     if isinstance(expression, Literal):
-        return expression.value
+        value = expression.value
+        return lambda rows: value
     if isinstance(expression, ColumnRef):
-        # Per-group constant column (a GROUP BY key): take it from the first row.
-        if not rows:
-            return None
-        return resolve_column(rows[0], expression)
+        # per-group constant column (a GROUP BY key): take it from the first row
+        getter = compile_expression(expression, scope)
+        return lambda rows: getter(rows[0]) if rows else None
     if isinstance(expression, UnaryOp):
-        inner = evaluate_aggregate(expression.operand, rows)
-        if expression.operator == "NOT":
-            return not bool(inner)
-        if expression.operator == "-":
-            return -_numeric(inner, "unary minus")
-        return _numeric(inner, "unary plus")
+        return _compile_unary(expression.operator if expression.operator in ("NOT", "-")
+                              else "+", compile_aggregate(expression.operand, scope))
     if isinstance(expression, BinaryOp):
-        substitute = BinaryOp(expression.operator,
-                              Literal(evaluate_aggregate(expression.left, rows)),
-                              Literal(evaluate_aggregate(expression.right, rows)))
-        return _evaluate_binary(substitute, {})
+        # both sides are computed before the operator, AND and OR included
+        left = compile_aggregate(expression.left, scope)
+        right = compile_aggregate(expression.right, scope)
+        operation = _operation(expression.operator)
+        return lambda rows: operation(left(rows), right(rows))
     if isinstance(expression, CaseExpression):
-        for condition, value in expression.branches:
-            if bool(evaluate_aggregate(condition, rows)):
-                return evaluate_aggregate(value, rows)
-        if expression.default is not None:
-            return evaluate_aggregate(expression.default, rows)
-        return None
-    raise SqlExecutionError(
+        return _compile_case(expression, lambda part: compile_aggregate(part, scope))
+    return _raiser(
         f"expression {type(expression).__name__} is not valid in aggregate context")
 
 
-def _apply_aggregate(call: FunctionCall, rows: List[Row]) -> Any:
+def _compile_call(call: FunctionCall, scope: Scope) -> Compiled:
     name = call.name
     if name == "COUNT" and call.is_star:
-        return len(rows)
+        return len
     if not call.arguments:
         if name == "COUNT":
-            return len(rows)
-        raise SqlExecutionError(f"{name} requires an argument")
+            return len
+        return _raiser(f"{name} requires an argument")
     if len(call.arguments) != 1:
-        raise SqlExecutionError(f"{name} takes exactly one argument")
-    values = [evaluate(call.arguments[0], row) for row in rows]
-    values = [v for v in values if v is not None]
-    if call.distinct:
-        deduped: List[Any] = []
-        for value in values:
-            if value not in deduped:
-                deduped.append(value)
-        values = deduped
-    if name == "COUNT":
-        return len(values)
-    if not values:
-        return None
-    if name == "SUM":
-        return sum(_numeric(v, "SUM") for v in values)
-    if name == "AVG":
-        numeric = [_numeric(v, "AVG") for v in values]
-        return sum(numeric) / len(numeric)
-    if name == "MIN":
-        return min(values)
-    if name == "MAX":
-        return max(values)
-    raise SqlExecutionError(f"unknown aggregate function {name!r}")
+        return _raiser(f"{name} takes exactly one argument")
+    argument = compile_expression(call.arguments[0], scope)
+    distinct = call.distinct
+
+    def aggregate(rows: List[Any]) -> Any:
+        values = [value for value in map(argument, rows) if value is not None]
+        if distinct:
+            deduped: List[Any] = []
+            for value in values:
+                if value not in deduped:
+                    deduped.append(value)
+            values = deduped
+        if name == "COUNT":
+            return len(values)
+        if not values:
+            return None
+        if name == "SUM":
+            return sum(_numeric(v, "SUM") for v in values)
+        if name == "AVG":
+            numeric = [_numeric(v, "AVG") for v in values]
+            return sum(numeric) / len(numeric)
+        if name == "MIN":
+            return min(values)
+        if name == "MAX":
+            return max(values)
+        raise SqlExecutionError(f"unknown aggregate function {name!r}")
+    return aggregate

@@ -140,6 +140,24 @@ class TestAnswers:
         assert result.succeeded
         assert result.result_value == 30
 
+    def test_ask_does_not_cache_its_code(self, monkeypatch):
+        # freeform text writes parsed values into the source: caching it
+        # would keep every distinct query's code object
+        from repro.sandbox import ExecutionSandbox
+
+        seen = []
+        original = ExecutionSandbox.execute
+
+        def execute(sandbox, source, namespace=None, validate=True, cache_code=False):
+            seen.append(cache_code)
+            return original(sandbox, source, namespace, validate, cache_code)
+
+        monkeypatch.setattr(ExecutionSandbox, "execute", execute)
+        for backend in ("networkx", "pandas"):
+            assert api.ask("how many nodes are in the network", backend=backend,
+                           nodes=30, edges=30).succeeded
+        assert seen == [False, False]
+
 
 # ---------------------------------------------------------------------------
 # the load-test mix

@@ -479,11 +479,12 @@ _LEAKING_CELLS = {
     "rebound": "G = G.copy()",
     "dict-name-mutator": "dict.update(G.graph, note=1)",
     "mutator-dunder": "G.graph.__init__(note=1)",
+    "getattr-dict-mutator": "getattr(dict, 'update')(G.graph, note=1)",
 }
 
 #: leaking cells that write behind the methods of G's dicts, which record
 #: writes: the sandbox policy rejects them
-_BYPASS_CELLS = ("dict-name-mutator", "mutator-dunder")
+_BYPASS_CELLS = ("dict-name-mutator", "mutator-dunder", "getattr-dict-mutator")
 
 #: cells that only set attributes of G besides its storage, or fill its
 #: ``__networkx_cache__``: recycling deletes and empties them

@@ -377,6 +377,26 @@ class TestBenchmarkRunner:
             == [r.passed for r in second.logger.records]
 
 
+def test_a_sweep_checks_each_distinct_source_once(small_benchmark_config, monkeypatch):
+    """Static cells cache their validated code objects for one ``run_tasks``."""
+    from repro.sandbox import executor
+
+    checked = []
+    original = executor._checked_code
+
+    def counted(source, policy, validate):
+        checked.append(source)
+        return original(source, policy, validate)
+
+    monkeypatch.setattr(executor, "_checked_code", counted)
+    runner = BenchmarkRunner(small_benchmark_config)
+    for application in ("traffic_analysis", "malt", "traffic_analysis"):
+        checked.clear()
+        report = runner.run_application(application, backends=("networkx", "pandas"))
+        assert len(report.logger.records) > len(set(checked)) > 10
+        assert len(checked) == len(set(checked))
+
+
 #: sha256 of the JSON list of (query, model, backend, passed, failure_stage)
 #: rows of one gpt-4 sweep at the default (paper-scale) configuration; a view
 #: or graph-diff shortcut that flips any verdict changes the digest

@@ -156,6 +156,12 @@ class TestCallGraph:
         assert targets("main:local") == ["engines:Database.run"]
         assert targets("main:rebound") == []
 
+    def test_string_partition_does_not_link_to_the_rng(self, live_project):
+        callers = live_project.graph.callers_of()[
+            "repro.utils.rng:DeterministicRng.partition"]
+        assert [caller for caller, _ in callers] \
+            == ["repro.traffic.generator:generate_flow_log"] * 3
+
     def test_sandbox_execute_is_reached_from_the_api_worker(
             self, live_project):
         execute = "repro.sandbox.executor:ExecutionSandbox.execute"

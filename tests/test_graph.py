@@ -477,6 +477,82 @@ class TestBulkConversions:
                 build(nodes, edges)
 
 
+def _per_element_copy(graph, node_ids=None):
+    """What ``copy()`` (or, given *node_ids*, ``subgraph()``) stored when it
+    called ``add_node``/``add_edge`` with a deep copy of each attribute dict."""
+    keep = set(graph._nodes if node_ids is None else node_ids)
+    duplicate = PropertyGraph(name=graph.name if node_ids is None
+                              else f"{graph.name}.subgraph", directed=graph.directed)
+    for node_id in (graph._nodes if node_ids is None else keep):
+        duplicate.add_node(node_id, **copy.deepcopy(graph._nodes[node_id]))
+    for source, target, attrs in graph.edges(data=True):
+        if source in keep and target in keep:
+            duplicate.add_edge(source, target, **copy.deepcopy(attrs))
+    duplicate.graph_attributes = copy.deepcopy(graph.graph_attributes)
+    return duplicate
+
+
+class TestCopies:
+    """``copy`` and ``subgraph`` store through ``convert._store`` what the
+    per-element calls stored, and share no attribute dict or mutable value."""
+
+    @pytest.mark.parametrize("name", ["traffic", "malt", "sample", "undirected"])
+    def test_store_like_per_element_calls(self, layout_graphs, name, storage_layout):
+        graph = layout_graphs[name]
+        assert storage_layout(graph.copy()) == storage_layout(_per_element_copy(graph))
+        kept = list(graph._nodes)[::2] + list(graph._nodes)[1:4]
+        assert storage_layout(graph.subgraph(kept)) \
+            == storage_layout(_per_element_copy(graph, kept))
+
+    def test_self_loops_keep_one_shared_dict(self):
+        for directed in (True, False):
+            graph = PropertyGraph(directed=directed)
+            graph.add_edge("a", "a", bytes=1)
+            graph.add_edge("b", "a", bytes=2)
+            for duplicate in (graph.copy(), graph.subgraph(["a", "b"])):
+                loop = duplicate._succ["a"]["a"]
+                assert duplicate._pred["a"]["a"] is loop
+                assert loop == {"bytes": 1} and loop is not graph._succ["a"]["a"]
+                assert duplicate.edge_count == graph.edge_count
+
+    def test_share_no_attribute_dict_or_mutable_value(self):
+        graph = PropertyGraph("shared")
+        graph.add_node("a", tags=["x"], meta={"rack": [1]}, size=3)
+        graph.add_node("b", size=4, label=None, up=True, load=0.5)
+        graph.add_edge("a", "b", path=["a", "b"], bytes=10)
+        graph.add_edge("b", "a", bytes=2)
+        graph.graph_attributes["history"] = [1]
+        for duplicate in (graph.copy(), graph.subgraph(["a", "b"])):
+            assert graphs_equal(duplicate, graph)
+            for node_id in ("a", "b"):
+                assert duplicate._nodes[node_id] is not graph._nodes[node_id]
+                assert type(duplicate._nodes[node_id]) is dict
+            for source, target in (("a", "b"), ("b", "a")):
+                assert duplicate._succ[source][target] is not graph._succ[source][target]
+            duplicate._nodes["a"]["tags"].append("y")
+            duplicate._nodes["a"]["meta"]["rack"].append(2)
+            duplicate._succ["a"]["b"]["path"].append("c")
+            duplicate._nodes["b"]["size"] = 5
+            duplicate.graph_attributes["history"].append(2)
+            assert graph._nodes["a"] == {"tags": ["x"], "meta": {"rack": [1]}, "size": 3}
+            assert graph._succ["a"]["b"]["path"] == ["a", "b"]
+            assert graph._nodes["b"]["size"] == 4
+            assert graph.graph_attributes["history"] == [1]
+
+    def test_copies_of_dict_subclasses_are_plain(self):
+        graph = PropertyGraph("tracked")
+        graph.add_edge("a", "b")
+        tracked = TrackedDict(bytes=1)
+        tracked.writes = Writes()
+        graph._succ["a"]["b"] = graph._pred["b"]["a"] = tracked
+        graph._nodes["a"] = ReadOnlyDict(size=1)
+        duplicate = graph.copy()
+        assert type(duplicate._succ["a"]["b"]) is dict
+        assert type(duplicate._nodes["a"]) is dict
+        duplicate._succ["a"]["b"]["bytes"] = 2
+        assert not tracked.writes.written
+
+
 def _storage_dicts(nx_graph):
     """Every dict a networkx graph stores its contents in."""
     tops = [nx_graph.graph, nx_graph._node, nx_graph._adj]

@@ -46,6 +46,21 @@ class TestPolicy:
         with pytest.raises(PolicyViolation):
             validate_source(snippet)
 
+    @pytest.mark.parametrize("snippet", [
+        "getattr(dict, 'update')(G.graph, note=1)", "f = getattr(dict, 'setdefault')",
+        "getattr(G, '__class__')", "type(G.graph).__base__",
+        "setattr(G, '__dict__', {})", "hasattr(G.graph, '__init__')",
+    ])
+    def test_rejects_attribute_names_spelled_as_strings(self, snippet):
+        with pytest.raises(PolicyViolation):
+            validate_source(snippet)
+
+    def test_allows_getattr_of_ordinary_names(self):
+        validate_source("class Box:\n    name = 1\nobj = Box()\n"
+                        "value = getattr(obj, 'name')\nhasattr(obj, 'size')\n"
+                        "setattr(obj, 'size', 2)\nkeys = getattr(dict, 'keys')\n"
+                        "attr = 'update'\ngetattr(obj, attr, None)\n")
+
     def test_allows_reading_dict_methods(self):
         validate_source("d = dict.fromkeys('ab')\nkeys = dict.keys(d)\nd.update(c=1)\n"
                         "d['a'] = 2\ndel d['b']\nd |= {'e': 5}\n")

@@ -1,10 +1,15 @@
 """Tests for the in-memory SQL engine (lexer, parser, executor)."""
 
+import importlib.util
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sqlengine import (
     Database,
+    Table,
     SqlExecutionError,
     SqlSyntaxError,
     Token,
@@ -302,3 +307,44 @@ def test_group_by_matches_python(pairs):
     for key, value in pairs:
         expected[key] = expected.get(key, 0) + value
     assert {row["k"]: row["total"] for row in result.rows} == expected
+
+
+# ---------------------------------------------------------------------------
+# differential corpus: outcomes recorded from the row-dict interpreter
+# ---------------------------------------------------------------------------
+def _corpus_module():
+    path = Path(__file__).parent / "fixtures" / "sql_corpus.py"
+    spec = importlib.util.spec_from_file_location("sql_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_corpus_outcomes_are_unchanged():
+    """Each recorded SELECT gives the recorded columns and rows (key order
+    and value types included) or raises the recorded exception."""
+    corpus = _corpus_module()
+    recorded = json.loads(corpus.CORPUS_PATH.read_text())
+    assert len(recorded) >= 300
+    database = corpus.build_database()
+    changed = [(entry, outcome) for entry in recorded
+               for outcome in [corpus.record(entry["sql"], database)]
+               if outcome != entry]
+    assert not changed, changed[:5]
+
+
+def test_a_select_builds_no_row_dicts_and_stops_at_the_first_failing_row():
+    database = Database("lazy")
+    table = database.add_table(Table.from_columns("t", {"v": list(range(100)),
+                                                        "w": [None] * 100}))
+    read = []
+    row_values = table.row_values
+    table.row_values = lambda: (read.append(row) or row for row in row_values())
+    for sql, rows_read in (("SELECT v FROM t WHERE nosuch = 1", 1),
+                           ("SELECT v FROM t WHERE v = 0 OR v / (v - 5) > 9", 6)):
+        read.clear()
+        with pytest.raises(SqlExecutionError):
+            database.execute(sql)
+        assert len(read) == rows_read, sql
+    assert database.execute("SELECT COUNT(*) FROM t WHERE w IS NULL").scalar() == 100
+    assert table._column_values is not None  # the row dicts were never built
