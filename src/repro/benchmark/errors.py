@@ -80,10 +80,3 @@ def classify_error(record: EvaluationRecord) -> Optional[str]:
         return "wrong_calculation_logic"
 
     return "operation_error"
-
-
-def label_for(error_type: Optional[str]) -> str:
-    """Human-readable label for a taxonomy key (empty string for passes)."""
-    if error_type is None:
-        return ""
-    return ERROR_TYPE_LABELS.get(error_type, error_type)

@@ -11,10 +11,9 @@ approves a state-changing query ("sync state" in the paper's figure).
 from __future__ import annotations
 
 import abc
+import copy
 import threading
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import chain
 from operator import is_
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 from weakref import WeakKeyDictionary
@@ -42,29 +41,6 @@ from repro.graph.convert import to_sql_database  # noqa: F401
 
 def _same_objects(left: Iterable[Any], right: Iterable[Any]) -> bool:
     return all(map(is_, left, right))
-
-
-def _same_layout(left: Dict[Any, Any], right: Dict[Any, Any], depth: int) -> bool:
-    """True when *left* and *right* are equal nested dicts whose keys, down
-    to *depth* levels, and whose values below them are the same objects in
-    the same order.
-
-    A conversion that copies dicts but not what they hold passes; one that
-    reorders keys, or that stores an equal but distinct value (``1.0`` for
-    ``1``), does not.
-    """
-    if left != right:
-        return False
-    # equal dicts have equal sizes at every level, so the flattened levels line up
-    lefts, rights = [left], [right]
-    for level in range(1, depth + 1):
-        if not _same_objects(chain.from_iterable(lefts), chain.from_iterable(rights)):
-            return False
-        lefts = chain.from_iterable(map(dict.values, lefts))
-        rights = chain.from_iterable(map(dict.values, rights))
-        if level < depth:  # the dicts of the next level are read twice
-            lefts, rights = list(lefts), list(rights)
-    return _same_objects(lefts, rights)
 
 
 #: what a new networkx graph keeps in its ``__dict__``, in order
@@ -141,11 +117,10 @@ class NetworkApplication(abc.ABC):
     leak its edits into the next one.
 
     Reading a view back (``read_*_view``) returns the graph the view's state
-    converts to.  For a view the query wrote nothing to, that graph is built
-    once per current graph and shares the current graph's storage, so it
-    is one object for every such query and must not be mutated either.
-    SQL and networkx views report their own writes; frames are compared
-    cell by cell.
+    converts to.  A view the query wrote nothing to holds the current
+    graph, so it reads back as the current graph itself, which must not be
+    mutated either.  SQL and networkx views report their own writes; frames
+    are compared cell by cell.
 
     A networkx view is the one view that costs a full conversion.  One
     nothing was written to can be handed back (:meth:`recycle_networkx_view`)
@@ -253,61 +228,34 @@ class NetworkApplication(abc.ABC):
         return frames_to_database(*self._frames(), self._graph.name)
 
     def read_networkx_view(self, nx_graph) -> PropertyGraph:
-        """The graph a :meth:`networkx_view` holds after a query ran on it.
-
-        A view nothing was written to (:meth:`_unwritten`) takes the
-        unwritten read-back; any other graph (``G`` rebound by the program,
-        say) is converted.
-        """
-        convert = partial(from_networkx, nx_graph)
+        """The graph a :meth:`networkx_view` holds after a query ran on it:
+        the current graph itself when nothing was written to the view
+        (:meth:`_unwritten`), else (a write, or ``G`` rebound by the
+        program) the conversion of *nx_graph*."""
         if self._unwritten(nx_graph):
-            return self._unwritten_read_back("networkx", convert)
-        return convert()
+            return self._graph
+        return from_networkx(nx_graph)
 
     def read_frame_view(self, node_frame: DataFrame, edge_frame: DataFrame) -> PropertyGraph:
         """The graph a :meth:`frame_view` holds after a query ran on it."""
-        convert = partial(from_frames, node_frame, edge_frame,
-                          directed=self._graph.directed)
         if all(map(_same_cells, (node_frame, edge_frame), self._frames())):
-            return self._unwritten_read_back("frames", convert)
-        return convert()
+            return self._graph
+        return self._with_head(from_frames(node_frame, edge_frame,
+                                           directed=self._graph.directed))
 
     def read_sql_view(self, database: Database) -> PropertyGraph:
         """The graph a :meth:`sql_view` holds after a query ran on it."""
-        convert = partial(from_sql_database, database, directed=self._graph.directed)
         if not database.written:
-            return self._unwritten_read_back("sql", convert)
-        return convert()
+            return self._graph
+        return self._with_head(from_sql_database(database, directed=self._graph.directed))
 
-    def _unwritten_read_back(self, view: str,
-                             convert: Callable[[], PropertyGraph]) -> PropertyGraph:
-        """``convert()`` for a *view* the query did not write.
-
-        Every unwritten view of one kind converts to the same graph, so it
-        is converted once per current graph, and then shares the current
-        graph's nodes and successors, and one set of predecessor rows in the
-        order the conversions store them (source-major).  When the
-        conversion changes the nodes or successors (``from_frames`` drops
-        ``None`` attributes and orders each node's attributes by column)
-        nothing is shared, and every query converts its view.
-        """
-        def share(rebuilt: PropertyGraph) -> Optional[PropertyGraph]:
-            graph = self._graph
-            if not (_same_layout(rebuilt._nodes, graph._nodes, 2)
-                    and _same_layout(rebuilt._succ, graph._succ, 3)):
-                return None
-            # most rows are in conversion order already (one predecessor)
-            pred = self._memoized("predecessors", lambda: {
-                target: graph._pred[target] if _same_layout(sources, graph._pred[target], 2)
-                else {source: graph._succ[source][target] for source in sources}
-                for target, sources in rebuilt._pred.items()})
-            if not _same_layout(rebuilt._pred, pred, 3):
-                return None
-            rebuilt._nodes, rebuilt._succ, rebuilt._pred = graph._nodes, graph._succ, pred
-            return rebuilt
-
-        shared = self._memoized(f"read back {view}", lambda: share(convert()))
-        return convert() if shared is None else shared
+    def _with_head(self, graph: PropertyGraph) -> PropertyGraph:
+        """*graph*, read back from frames or SQL, which hold no graph name or
+        attributes, given the current graph's, as :meth:`PropertyGraph.copy`
+        does."""
+        graph.name = self._graph.name
+        graph.graph_attributes = copy.deepcopy(self._graph.graph_attributes)
+        return graph
 
     # ------------------------------------------------------------------
     # description for prompt generation

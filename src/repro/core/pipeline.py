@@ -52,7 +52,7 @@ class PipelineResult:
     execution: Optional[ExecutionOutcome] = None
     result_value: Any = None
     #: the state the code left in its view; when it wrote nothing this is
-    #: shared with the application (see ``NetworkApplication``), so read-only
+    #: the application's current graph (see ``NetworkApplication``), so read-only
     updated_graph: Optional[PropertyGraph] = None
     error_stage: Optional[str] = None    # "prompt", "llm", "extract", "execute"
     error_message: Optional[str] = None

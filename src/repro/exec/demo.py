@@ -13,8 +13,6 @@ from __future__ import annotations
 import os
 from typing import Any, Dict
 
-from repro.utils.hashing import stable_hash
-
 
 def echo(payload: Dict[str, Any]) -> Any:
     """Return ``payload['value']`` unchanged."""
@@ -50,12 +48,3 @@ def hard_crash(payload: Dict[str, Any]) -> None:
     a per-task error instead of hanging.
     """
     os._exit(payload.get("code", 3))
-
-
-def busy_checksum(payload: Dict[str, Any]) -> int:
-    """Burn deterministic CPU and return a checksum (speedup benchmarking)."""
-    rounds = payload.get("rounds", 10_000)
-    value = 0
-    for index in range(rounds):
-        value = (value + stable_hash(payload.get("seed", 0), index)) % (1 << 61)
-    return value

@@ -30,7 +30,7 @@ three mechanisms produce byte-identical reports for the same task set.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.exec.cache import ResultCache
@@ -136,6 +136,3 @@ class ExecutorPolicy:
     def auto(cls, jobs: int = 2, cache: Union[None, str, ResultCache] = None,
              **overrides) -> "ExecutorPolicy":
         return cls(mode="auto", jobs=jobs, cache=cache, **overrides)
-
-    def with_cache(self, cache: Union[None, str, ResultCache]) -> "ExecutorPolicy":
-        return replace(self, cache=cache)

@@ -155,10 +155,6 @@ class PropertyGraph:
             return [(nid, attrs) for nid, attrs in self._nodes.items()]
         return list(self._nodes)
 
-    def iter_nodes(self) -> Iterator[NodeView]:
-        for nid, attrs in self._nodes.items():
-            yield NodeView(nid, attrs)
-
     @property
     def node_count(self) -> int:
         return len(self._nodes)
@@ -221,10 +217,6 @@ class PropertyGraph:
                 else:
                     result.append((source, target))
         return result
-
-    def iter_edges(self) -> Iterator[EdgeView]:
-        for source, target, attrs in self.edges(data=True):
-            yield EdgeView(source, target, attrs)
 
     @property
     def edge_count(self) -> int:
@@ -336,10 +328,6 @@ class PropertyGraph:
     def total_edge_weight(self, key: str) -> float:
         """Sum an edge attribute over all edges, treating missing values as 0."""
         return sum(attrs.get(key, 0) for _, _, attrs in self.edges(data=True))
-
-    def node_attribute_values(self, key: str) -> Dict[NodeId, Any]:
-        """Mapping from node id to attribute value, skipping nodes without it."""
-        return {nid: attrs[key] for nid, attrs in self._nodes.items() if key in attrs}
 
     # ------------------------------------------------------------------
     # dunder protocol

@@ -34,10 +34,6 @@ from repro.sqlengine.parser import parse_statement
 Row = Dict[str, Any]
 Values = Tuple[Any, ...]
 
-#: the name ORDER BY reads a projected row's whole source row under; an
-#: output column of that name is left out of the result rows
-_SOURCE_ROW = "__source_row__"
-
 
 def execute_sql(database: Database, sql: str) -> Optional[ResultSet]:
     """Parse and execute one SQL statement, returning a result set for SELECT."""
@@ -184,11 +180,7 @@ def _execute_select(database: Database, statement: SelectStatement) -> ResultSet
     if statement.limit is not None:
         paired = paired[: statement.limit]
 
-    result_rows = [row for row, _ in paired]
-    if _SOURCE_ROW in columns:
-        result_rows = [{key: value for key, value in row.items() if key != _SOURCE_ROW}
-                       for row in result_rows]
-    return ResultSet(columns, result_rows)
+    return ResultSet(columns, [row for row, _ in paired])
 
 
 def _execute_plain(statement: SelectStatement, scope: Scope,
@@ -278,9 +270,6 @@ def _apply_order_by(statement: SelectStatement,
     and then over the source row where the output row does not answer it."""
     output_scope: Scope = {name: (lambda pair, name=name: pair[0][name])
                            for name in dict.fromkeys(columns)}
-    if source_scope is not None:
-        output_scope[_SOURCE_ROW] = lambda pair: {
-            key: getter(pair[1]) for key, getter in source_scope.items()}
     ordered = list(paired)
     for order_item in reversed(statement.order_by):
         ordered.sort(key=_order_key(order_item.expression, output_scope, columns,

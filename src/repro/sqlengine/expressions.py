@@ -239,16 +239,19 @@ def _compile_in(node: InList, scope: Scope) -> Compiled:
 
 
 def _compile_between(node: Between, scope: Scope) -> Compiled:
+    """``low <= operand AND operand <= high``, with the comparisons of
+    ``<=``: a NULL bound or operand is false, mixed types an error."""
     operand = compile_expression(node.operand, scope)
     low = compile_expression(node.low, scope)
     high = compile_expression(node.high, scope)
     negated = node.negated
+    at_most = _OPERATIONS["<="]
 
     def between(row: Any) -> Any:
         value = operand(row)
         low_value = low(row)
         high_value = high(row)
-        result = low_value <= value <= high_value
+        result = at_most(low_value, value) and at_most(value, high_value)
         return not result if negated else result
     return between
 

@@ -163,9 +163,3 @@ class CodeSynthesisEngine:
         if outcome.kind in ("graph", "both") and outcome.graph is not None:
             payload["graph"] = graph_to_dict(outcome.graph)
         return json.dumps(payload, default=str, sort_keys=True)
-
-    def reference_outcome(self, query: Union[str, Intent],
-                          graph: PropertyGraph) -> ReferenceOutcome:
-        """Golden outcome of *query* on *graph* (used by the benchmark)."""
-        intent = self.resolve_intent(query)
-        return evaluate_reference(graph, intent)

@@ -241,11 +241,3 @@ def parse_query(query: str) -> Intent:
         if match:
             return builder(match)
     raise IntentParseError(f"could not derive an intent from query: {query!r}")
-
-
-def all_intent_names() -> List[str]:
-    """Every known intent name across both applications."""
-    names: List[str] = []
-    for group in KNOWN_INTENTS.values():
-        names.extend(group)
-    return names

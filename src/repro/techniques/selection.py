@@ -47,11 +47,6 @@ class SelectionResult:
     failed_samples: int = 0
     all_samples: List[PipelineResult] = field(default_factory=list)
 
-    @property
-    def selected_code(self) -> str:
-        return self.selected.code if self.selected else ""
-
-
 class ExecutionConsistencySelector:
     """Pick the most self-consistent sample out of *samples* generations."""
 

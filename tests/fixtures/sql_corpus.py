@@ -8,7 +8,8 @@ result's column names and rows, or the exception's type and message.
 outcome, value types and key order included.
 
 The recorded file is the reference; regenerate it only to add statements,
-from an engine whose outcomes on the existing ones are unchanged::
+or to record a deliberate change of outcome, and check that no other
+existing entry changes::
 
     PYTHONPATH=src python tests/fixtures/sql_corpus.py
 """

@@ -1,5 +1,6 @@
 """Tests for the traffic-analysis and MALT application substrates."""
 
+import copy
 import gc
 import sys
 import threading
@@ -9,13 +10,16 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.benchmark import BenchmarkRunner
+from repro.benchmark import BenchmarkConfig, BenchmarkRunner
 from repro.benchmark import runner as runner_module
+from repro.benchmark.evaluator import ResultsEvaluator
+from repro.benchmark.goldens import GoldenAnswer
 from repro.benchmark.queries import queries_for
+from repro.benchmark.tasks import benchmark_cell_task
 from repro.core import NetworkManagementPipeline
 from repro.core import application as application_module
 from repro.core.application import ApplicationContext
-from repro.exec import clear_worker_contexts
+from repro.exec import TaskSet, clear_worker_contexts, run_tasks
 from repro.frames import FrameError
 from repro.graph import PropertyGraph, diff_graphs, from_networkx, graphs_equal
 from repro.graph.convert import from_frames, from_sql_database, to_networkx
@@ -291,19 +295,29 @@ class TestStaticViewIsolation:
         assert len(calls) == 1
 
 
-def _read_backs(application):
-    """backend -> (an untouched view read back by the application, the full
-    conversion of that view)."""
-    directed = application.graph.directed
+def _read_backs(application, write=False):
+    """backend -> (a view read back by the application, the full conversion
+    of that view).  With *write* each view is written to first, by writes
+    that change nothing or only a value's type.  A frames or SQL view holds
+    no graph name or attributes: their conversions take the application
+    graph's."""
+    graph = application.graph
     nx_graph = application.networkx_view()
     frames = application.frame_view()
     database = application.sql_view()
+    if write:
+        nx_graph.graph.update()
+        frames[1]["bytes"] = [float(value) for value in frames[1]["bytes"]]
+        database.execute("DELETE FROM edges WHERE bytes < 0")
+    head = {"name": graph.name, "directed": graph.directed}
+    converted = {"pandas": from_frames(*frames, **head),
+                 "sql": from_sql_database(database, **head)}
+    for conversion in converted.values():
+        conversion.graph_attributes = copy.deepcopy(graph.graph_attributes)
     return {
         "networkx": (application.read_networkx_view(nx_graph), from_networkx(nx_graph)),
-        "pandas": (application.read_frame_view(*frames),
-                   from_frames(*frames, directed=directed)),
-        "sql": (application.read_sql_view(database),
-                from_sql_database(database, directed=directed)),
+        "pandas": (application.read_frame_view(*frames), converted["pandas"]),
+        "sql": (application.read_sql_view(database), converted["sql"]),
     }
 
 
@@ -342,36 +356,57 @@ _WRITING_CELLS = {
 
 
 class TestUnwrittenReadBack:
-    """A view the query did not write reads back as the graph its full
-    conversion yields, built once per graph and sharing its storage."""
+    """A view the query did not write reads back as the current graph
+    itself; a written view reads back as its full conversion."""
 
     @pytest.mark.parametrize("name", ["traffic", "malt"])
-    def test_skip_yields_the_full_conversion(self, corpus_applications, name,
-                                             storage_layout):
+    def test_skip_yields_the_full_conversion(self, corpus_applications, name):
         application = corpus_applications[name]
-        first = _read_backs(application)
-        for backend, (read_back, converted) in first.items():
-            assert read_back._nodes is application.graph._nodes, backend
-            assert read_back._succ is application.graph._succ, backend
-            assert storage_layout(read_back) == storage_layout(converted), backend
-            assert diff_graphs(application.graph, read_back).is_empty
-        second = _read_backs(application)
-        assert all(second[backend][0] is first[backend][0] for backend in first)
+        for backend, (read_back, converted) in _read_backs(application).items():
+            assert read_back is application.graph, backend
+            assert diff_graphs(converted, read_back).is_empty, backend
 
     @pytest.mark.parametrize("make", [_application_with_none_attribute,
                                       _undirected_application])
     def test_other_graphs_read_back_as_converted(self, make, storage_layout):
         application = make()
-        for backend, (read_back, converted) in _read_backs(application).items():
+        for backend, (read_back, _) in _read_backs(application).items():
+            assert read_back is application.graph, backend
+        for backend, (read_back, converted) in _read_backs(application, write=True).items():
+            assert read_back is not application.graph, backend
             assert storage_layout(read_back) == storage_layout(converted), backend
 
     def test_none_attribute_takes_the_round_trip(self):
         application = _application_with_none_attribute()
         first = application.graph.nodes()[0]
+        for backend, (read_back, _) in _read_backs(application).items():
+            assert read_back.node_attributes(first)["note"] is None, backend
         for backend in ("pandas", "sql"):
-            read_back, _ = _read_backs(application)[backend]
-            assert read_back._nodes is not application.graph._nodes, backend
+            read_back, _ = _read_backs(application, write=True)[backend]
             assert "note" not in read_back.node_attributes(first), backend
+
+    @pytest.mark.parametrize("backend", ["pandas", "sql"])
+    def test_read_only_cell_on_a_none_attribute_passes(self, backend):
+        application = _application_with_none_attribute()
+        language, code = {"pandas": ("python", "result = len(nodes_df)"),
+                          "sql": ("sql", "SELECT COUNT(*) FROM nodes")}[backend]
+        result = NetworkManagementPipeline(
+            application, _ScriptedProvider(language, code), backend).run_query("count")
+        query = queries_for("traffic_analysis")[0]
+        golden = GoldenAnswer(query.query_id, "value", application.graph.node_count)
+        record = ResultsEvaluator().evaluate(query, "gpt-4", result, golden,
+                                             application.graph)
+        assert record.passed, record.failure_reason
+
+    def test_written_read_back_keeps_the_graph_name_and_attributes(self):
+        application = TrafficAnalysisApplication.with_size(12, 15)
+        graph = application.graph
+        assert graph.graph_attributes
+        for backend, (read_back, _) in _read_backs(application, write=True).items():
+            assert read_back is not graph, backend
+            assert read_back.name == graph.name, backend
+            assert read_back.graph_attributes == graph.graph_attributes, backend
+            assert read_back.graph_attributes is not graph.graph_attributes, backend
 
     @pytest.mark.parametrize("cell", sorted(_WRITING_CELLS))
     def test_writing_cell_takes_the_round_trip(self, cell):
@@ -398,6 +433,24 @@ class TestUnwrittenReadBack:
         assert pipeline.run_query("write").succeeded
         assert application.sql_view().execute(
             "SELECT COUNT(*) FROM nodes WHERE type = 'x'").scalar() == 0
+
+
+@pytest.mark.parametrize("code, error_type", [
+    ("SELECT COUNT(*) FROM edges WHERE bytes BETWEEN NULL AND 10", None),
+    ("SELECT id FROM nodes WHERE type BETWEEN 1 AND 10", "SqlExecutionError"),
+], ids=["null-bound", "mixed-types"])
+def test_generated_between_is_scored_not_raised(code, error_type, monkeypatch):
+    monkeypatch.setattr(runner_module, "create_provider",
+                        lambda model, **_: _ScriptedProvider("sql", code))
+    query = queries_for("traffic_analysis")[0]
+    task_set = TaskSet(name="between")
+    task_set.add(benchmark_cell_task(
+        "between", BenchmarkConfig().to_payload(),
+        {"kind": "generated", "application": "traffic_analysis"},
+        "sql", query.query_id, "gpt-4"))
+    [record] = run_tasks(task_set).values()
+    assert record.details.get("error_type") == error_type
+    assert (record.failure_stage == "execute") == (error_type is not None)
 
 
 def _undirected_mirrored_application():

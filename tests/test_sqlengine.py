@@ -171,6 +171,23 @@ class TestSelectExecution:
             "FROM nodes ORDER BY id")
         assert [row["bucket"] for row in result.rows] == ["other", "mid", "mid"]
 
+    def test_between_compares_as_the_comparison_operators_do(self):
+        database = Database("nulls")
+        database.add_table(Table.from_columns("t", {"id": [1, 2], "x": [5, None]}))
+        for sql in ("SELECT id FROM t WHERE x BETWEEN 1 AND 10",
+                    "SELECT id FROM t WHERE x >= 1 AND x <= 10"):
+            assert database.execute(sql).to_records() == [{"id": 1}], sql
+        assert database.execute(
+            "SELECT id FROM t WHERE x NOT BETWEEN 1 AND 10").to_records() == [{"id": 2}]
+        with pytest.raises(SqlExecutionError, match="cannot compare 1 and 'a'"):
+            database.execute("SELECT id FROM t WHERE 'a' BETWEEN 1 AND 10")
+
+    def test_any_output_name_keeps_its_values(self):
+        database = Database("names")
+        database.add_table(Table.from_columns("t", {"id": [1, 2]}))
+        result = database.execute("SELECT id AS __source_row__ FROM t")
+        assert result.column("__source_row__") == [1, 2]
+
     def test_select_without_from(self):
         assert sample_database().execute("SELECT 2 + 3 AS v").scalar() == 5
 
@@ -310,7 +327,7 @@ def test_group_by_matches_python(pairs):
 
 
 # ---------------------------------------------------------------------------
-# differential corpus: outcomes recorded from the row-dict interpreter
+# differential corpus: outcomes recorded from the engine
 # ---------------------------------------------------------------------------
 def _corpus_module():
     path = Path(__file__).parent / "fixtures" / "sql_corpus.py"
