@@ -25,11 +25,12 @@ from repro.graph import PropertyGraph, compute_stats
 from repro.graph.convert import (
     frames_to_database,
     from_frames,
+    from_logged_networkx,
     from_networkx,
     from_sql_database,
     to_frames,
     to_networkx,
-    Writes,
+    WriteLog,
 )
 from repro.sqlengine import Database
 
@@ -47,7 +48,7 @@ def _same_objects(left: Iterable[Any], right: Iterable[Any]) -> bool:
 _STORAGE = {kind: tuple(vars(kind())) for kind in (nx.Graph, nx.DiGraph)}
 
 #: guards the idle recycled networkx view and the views handed out, which
-#: map to (their :func:`_head` then, their ``Writes``)
+#: map to (their :func:`_head` then, their ``WriteLog``)
 _VIEW_LOCK = threading.Lock()
 _IDLE_VIEW = "idle networkx view"
 _VIEWS = "networkx views"
@@ -120,13 +121,16 @@ class NetworkApplication(abc.ABC):
     converts to.  A view the query wrote nothing to holds the current
     graph, so it reads back as the current graph itself, which must not be
     mutated either.  SQL and networkx views report their own writes; frames
-    are compared cell by cell.
+    are compared cell by cell.  A written networkx view reads back as the
+    current graph's storage with the rows its log names replaced, which
+    shares every other row with the current graph.
 
-    A networkx view is the one view that costs a full conversion.  One
-    nothing was written to can be handed back (:meth:`recycle_networkx_view`)
-    by a caller that keeps nothing referring into it; it is then the next
-    :meth:`networkx_view`, taken by one caller only.  At most one view
-    waits, and :meth:`sync_state` drops it with the other entries.
+    A networkx view is the one view that costs a full conversion, so each
+    current graph converts once.  A caller that keeps nothing referring into
+    its view hands it back (:meth:`recycle_networkx_view`), written or not;
+    rolled back, it is the next :meth:`networkx_view`, taken by one caller
+    only.  At most one view waits, and :meth:`sync_state` drops it with the
+    other entries.
     """
 
     #: short machine-readable identifier ("traffic_analysis", "malt")
@@ -173,37 +177,39 @@ class NetworkApplication(abc.ABC):
     def networkx_view(self):
         """The state as a ``networkx`` graph (NetworkX backend input): the
         idle recycled view when there is one, else a new conversion whose
-        dicts record writes to them (:class:`~repro.graph.convert.Writes`)."""
+        dicts log writes to them (:class:`~repro.graph.convert.WriteLog`).
+        A graph with an attribute value of no scalar type converts to a
+        view that is never recycled or read back from its log."""
         entries = self._entries()
         with _VIEW_LOCK:
             view = entries.pop(_IDLE_VIEW, None)
         if view is None:
-            writes = Writes()
-            view = to_networkx(self._graph, writes=writes)
-            with _VIEW_LOCK:
-                entries.setdefault(_VIEWS, WeakKeyDictionary())[view] = (_head(view), writes)
+            log = WriteLog()
+            view = to_networkx(self._graph, log=log)
+            if not log.deep:
+                with _VIEW_LOCK:
+                    entries.setdefault(_VIEWS, WeakKeyDictionary())[view] = (_head(view), log)
         return view
 
-    def _unwritten(self, nx_graph) -> bool:
-        """True when *nx_graph* is a :meth:`networkx_view` of the current
-        graph that still stores in the dicts it was built with, unwritten."""
+    def _log(self, nx_graph) -> Optional[WriteLog]:
+        """The write log of *nx_graph* when it is a :meth:`networkx_view` of
+        the current graph that still stores in the dicts it was built with."""
         if type(nx_graph) not in _STORAGE:
-            return False
+            return None
         with _VIEW_LOCK:
-            head, writes = self._entries().get(_VIEWS, {}).get(nx_graph, (None, None))
-        return (writes is not None and not writes.written
-                and _same_objects(_head(nx_graph), head))
+            head, log = self._entries().get(_VIEWS, {}).get(nx_graph, (None, None))
+        return log if log is not None and _same_objects(_head(nx_graph), head) else None
 
     def recycle_networkx_view(self, nx_graph) -> None:
-        """Keep *nx_graph*, a :meth:`networkx_view` a query has finished
-        with, for the next :meth:`networkx_view` call if it is as good as
-        new (:meth:`_unwritten`).
+        """Roll *nx_graph*, a :meth:`networkx_view` a query has finished
+        with, back to the current graph and keep it for the next
+        :meth:`networkx_view` call, unless its log is gone (:meth:`_log`).
 
         Its attributes besides its storage are deleted, kept or not, and a
         kept view's ``__networkx_cache__`` is emptied.  At most one view is
         kept.  The caller gives the view up, together with everything that
-        refers into it (the program's result and namespace): the next query
-        may write to it.
+        refers into it (the program's result and namespace, and a thread
+        still running the program): the next query may write to it.
         """
         if type(nx_graph) not in _STORAGE:
             return
@@ -212,7 +218,9 @@ class NetworkApplication(abc.ABC):
         state = vars(nx_graph)
         for name in [name for name in state if name not in _STORAGE[type(nx_graph)]]:
             del state[name]
-        if self._unwritten(nx_graph):
+        log = self._log(nx_graph)
+        if log is not None:
+            log.rollback()
             if "__networkx_cache__" in state:
                 state["__networkx_cache__"].clear()
             with _VIEW_LOCK:
@@ -229,12 +237,17 @@ class NetworkApplication(abc.ABC):
 
     def read_networkx_view(self, nx_graph) -> PropertyGraph:
         """The graph a :meth:`networkx_view` holds after a query ran on it:
-        the current graph itself when nothing was written to the view
-        (:meth:`_unwritten`), else (a write, or ``G`` rebound by the
-        program) the conversion of *nx_graph*."""
-        if self._unwritten(nx_graph):
+        the current graph itself when its log is empty, the current graph
+        with the logged rows replaced when not
+        (:func:`~repro.graph.convert.from_logged_networkx`), and the
+        conversion of *nx_graph* when it has no log (``G`` rebound by the
+        program, or a storage attribute of it, see :meth:`_log`)."""
+        log = self._log(nx_graph)
+        if log is None:
+            return from_networkx(nx_graph)
+        if not log.entries:
             return self._graph
-        return from_networkx(nx_graph)
+        return from_logged_networkx(self._graph, nx_graph, log)
 
     def read_frame_view(self, node_frame: DataFrame, edge_frame: DataFrame) -> PropertyGraph:
         """The graph a :meth:`frame_view` holds after a query ran on it."""

@@ -38,9 +38,9 @@ class QueryRequest:
 class PipelineResult:
     """Everything produced while answering one query.
 
-    With the networkx backend the code ran on the view left in
-    ``execution.namespace["G"]``, and ``result_value`` may refer into it.
-    The view is the result's own unless the result is given to
+    With the networkx backend the code ran on ``view`` (unless it rebound
+    ``G``), and ``result_value`` may refer into it.  The view is the
+    result's own unless the result is given to
     :meth:`NetworkManagementPipeline.recycle_view`, after which the next
     query may write to it: neither it nor ``result_value`` may be used then.
     """
@@ -51,9 +51,11 @@ class PipelineResult:
     code: str = ""
     execution: Optional[ExecutionOutcome] = None
     result_value: Any = None
-    #: the state the code left in its view; when it wrote nothing this is
-    #: the application's current graph (see ``NetworkApplication``), so read-only
+    #: the state the code left in its view; it is the application's current
+    #: graph, or shares rows with it (see ``NetworkApplication``), so read-only
     updated_graph: Optional[PropertyGraph] = None
+    #: the networkx view the pipeline handed the code
+    view: Any = None
     error_stage: Optional[str] = None    # "prompt", "llm", "extract", "execute"
     error_message: Optional[str] = None
 
@@ -131,17 +133,18 @@ class NetworkManagementPipeline:
         return self.run(QueryRequest(query=query, backend=self.backend, metadata=metadata))
 
     def recycle_view(self, result: PipelineResult) -> None:
-        """Give the networkx view of *result*, which this pipeline produced,
-        back to the application for the next query
-        (:meth:`NetworkApplication.recycle_networkx_view`).  Only a view
-        whose code ran without error is offered."""
-        if self.backend == "networkx" and result.updated_graph is not None:
-            self.application.recycle_networkx_view(result.execution.namespace["G"])
+        """Give the networkx view this pipeline handed *result*'s code back
+        to the application for the next query
+        (:meth:`NetworkApplication.recycle_networkx_view`), written or not,
+        once the code's thread has stopped."""
+        if result.view is not None and not result.execution.still_running:
+            self.application.recycle_networkx_view(result.view)
 
     # ------------------------------------------------------------------
     def _execute_python(self, result: PipelineResult) -> None:
         if self.backend == "networkx":
-            namespace: Dict[str, Any] = {"G": self.application.networkx_view()}
+            result.view = self.application.networkx_view()
+            namespace: Dict[str, Any] = {"G": result.view}
         else:
             nodes_df, edges_df = self.application.frame_view()
             namespace = {"nodes_df": nodes_df, "edges_df": edges_df}

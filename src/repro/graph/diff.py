@@ -126,7 +126,12 @@ def _diff_attrs(left: Dict[str, Any], right: Dict[str, Any],
 
 def diff_graphs(expected: PropertyGraph, actual: PropertyGraph,
                 float_tolerance: float = 1e-9) -> GraphDiff:
-    """Return the full structural/attribute diff between two graphs."""
+    """Return the full structural/attribute diff between two graphs.
+
+    A node or successor row that is one object in both graphs (a read-back
+    shares the rows a program did not write with the graph it ran on) holds
+    no difference, so only the other rows are compared.
+    """
     if _same_adjacency(expected, actual):
         return GraphDiff()
     diff = GraphDiff()
@@ -135,18 +140,27 @@ def diff_graphs(expected: PropertyGraph, actual: PropertyGraph,
     diff.missing_nodes = sorted(expected_nodes - actual_nodes, key=str)
     diff.extra_nodes = sorted(actual_nodes - expected_nodes, key=str)
 
-    expected_edges = set(expected.edges())
-    actual_edges = set(actual.edges())
+    if expected.directed and actual.directed:
+        rows = [node for node, row in expected._succ.items() if actual._succ.get(node) is not row]
+        rows += [node for node in actual._succ if node not in expected._succ]
+        expected_edges = {(node, target) for node in rows for target in expected._succ.get(node, ())}
+        actual_edges = {(node, target) for node in rows for target in actual._succ.get(node, ())}
+    else:
+        expected_edges, actual_edges = set(expected.edges()), set(actual.edges())
     diff.missing_edges = sorted(expected_edges - actual_edges, key=str)
     diff.extra_edges = sorted(actual_edges - expected_edges, key=str)
 
-    for node_id in sorted(expected_nodes & actual_nodes, key=str):
+    nodes = [node for node in expected_nodes & actual_nodes
+             if expected._nodes[node] is not actual._nodes[node]]
+    for node_id in sorted(nodes, key=str):
         for key, left, right in _diff_attrs(expected.node_attributes(node_id),
                                             actual.node_attributes(node_id),
                                             float_tolerance):
             diff.node_attribute_mismatches.append((node_id, key, left, right))
 
-    for edge in sorted(expected_edges & actual_edges, key=str):
+    edges = [(source, target) for source, target in expected_edges & actual_edges
+             if expected._succ[source][target] is not actual._succ[source][target]]
+    for edge in sorted(edges, key=str):
         source, target = edge
         for key, left, right in _diff_attrs(expected.edge_attributes(source, target),
                                             actual.edge_attributes(source, target),

@@ -31,14 +31,19 @@ class GraphError(ValidationError):
 _SCALAR_TYPES = frozenset({type(None), bool, int, float, str})
 
 
+def _scalars_only(dicts: Iterable[Dict[str, Any]]) -> bool:
+    """True when every value of every dict of *dicts* is of a scalar type."""
+    return _SCALAR_TYPES.issuperset(map(type, chain.from_iterable(map(dict.values, dicts))))
+
+
 def _copies(dicts: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
     """Fresh plain dicts equal to *dicts* that share no mutable value: a
     ``dict`` copy of each one whose values are all scalars, else a deep
     copy.  One type scan over every value settles the common case."""
-    if _SCALAR_TYPES.issuperset(map(type, chain.from_iterable(map(dict.values, dicts)))):
+    if _scalars_only(dicts):
         return list(map(dict, dicts))
-    return [dict(attrs) if _SCALAR_TYPES.issuperset(map(type, attrs.values()))
-            else dict(_copy.deepcopy(attrs)) for attrs in dicts]
+    return [dict(attrs) if _scalars_only((attrs,)) else dict(_copy.deepcopy(attrs))
+            for attrs in dicts]
 
 
 NodeId = Any

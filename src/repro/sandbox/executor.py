@@ -20,6 +20,15 @@ class SandboxTimeout(RuntimeError):
     """Raised (and captured) when generated code exceeds the time budget."""
 
 
+class _Stop(BaseException):
+    """Raised inside a program's thread once it has run out of time; not an
+    ``Exception``, so that ``except Exception`` cannot swallow it."""
+
+
+#: how long a timed-out program's thread gets to stop before it is left
+_STOP_GRACE_SECONDS = 0.5
+
+
 #: builtins exposed to generated code — enough for data manipulation, nothing
 #: that touches the filesystem, processes, or the interpreter internals.
 _SAFE_BUILTIN_NAMES = (
@@ -96,6 +105,9 @@ class ExecutionOutcome:
     error_message: Optional[str] = None
     traceback_text: Optional[str] = None
     duration_seconds: float = 0.0
+    #: the program timed out and its thread did not stop: it may still
+    #: change the namespace
+    still_running: bool = False
 
     @property
     def failed(self) -> bool:
@@ -192,9 +204,23 @@ class ExecutionSandbox:
         worker.start()
         worker.join(self.policy.max_seconds)
         if worker.is_alive():
+            # raised at the thread's next bytecode, and again while it runs:
+            # a callback that ignores exceptions (a gc callback, ``__del__``)
+            # can swallow one.  A long C call or a handler that catches
+            # every one keeps the thread running.  (ctypes is imported here
+            # only: it adds about 0.4 MB to every process that loads it.)
+            import ctypes
+
+            deadline = time.monotonic() + _STOP_GRACE_SECONDS
+            while worker.is_alive() and time.monotonic() < deadline:
+                ctypes.pythonapi.PyThreadState_SetAsyncExc(ctypes.c_ulong(worker.ident),
+                                                           ctypes.py_object(_Stop))
+                worker.join(0.01)
             timeout = SandboxTimeout(
                 f"generated code exceeded the {self.policy.max_seconds:.1f}s time budget")
-            return self._failure(timeout, stdout_buffer, exec_globals, start)
+            outcome = self._failure(timeout, stdout_buffer, exec_globals, start)
+            outcome.still_running = worker.is_alive()
+            return outcome
         if "error" in error_holder:
             return self._failure(error_holder["error"], stdout_buffer, exec_globals, start)
 

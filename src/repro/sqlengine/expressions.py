@@ -90,10 +90,33 @@ def _numeric(value: Any, context: str) -> float:
 # ---------------------------------------------------------------------------
 # binary operators over two evaluated operands
 # ---------------------------------------------------------------------------
+# A predicate is SQL's three-valued logic: true, false, or None for unknown
+# (a comparison with NULL).  NOT, AND and OR propagate unknown; WHERE,
+# HAVING and ON keep only the rows where it is true.
+def _false(value: Any) -> bool:
+    return value is not None and not value
+
+
+def _not(value: Any) -> Any:
+    return None if value is None else not value
+
+
+def _and(left: Any, right: Any) -> Any:
+    if _false(left) or _false(right):
+        return False
+    return None if left is None or right is None else True
+
+
+def _or(left: Any, right: Any) -> Any:
+    if left or right:
+        return True
+    return None if left is None or right is None else False
+
+
 def _ordering(compare: Callable[[Any, Any], Any]) -> Callable[[Any, Any], Any]:
     def ordered(left: Any, right: Any) -> Any:
         if left is None or right is None:
-            return False
+            return None
         try:
             return compare(left, right)
         except TypeError as exc:
@@ -101,9 +124,9 @@ def _ordering(compare: Callable[[Any, Any], Any]) -> Callable[[Any, Any], Any]:
     return ordered
 
 
-def _like(left: Any, right: Any) -> bool:
+def _like(left: Any, right: Any) -> Any:
     if left is None or right is None:
-        return False
+        return None
     return re.match(_like_to_regex(str(right)), str(left)) is not None
 
 
@@ -125,8 +148,8 @@ def _arithmetic(symbol: str, apply: Callable[[Any, Any], Any],
 
 
 _OPERATIONS: Dict[str, Callable[[Any, Any], Any]] = {
-    "AND": lambda left, right: bool(left) and bool(right),
-    "OR": lambda left, right: bool(left) or bool(right),
+    "AND": _and,
+    "OR": _or,
     "=": operator.eq,
     "<>": operator.ne,
     "<": _ordering(operator.lt),
@@ -189,7 +212,7 @@ def _compile_unary(symbol: str, operand: Compiled) -> Compiled:
     """``NOT``, ``-`` or ``+`` of the value *operand* computes (from a row
     or from a group alike)."""
     if symbol == "NOT":
-        return lambda row: not operand(row)
+        return lambda row: _not(operand(row))
     if symbol == "-":
         return lambda row: -_numeric(operand(row), "unary minus")
     if symbol == "+":
@@ -206,9 +229,15 @@ def _compile_binary(node: BinaryOp, scope: Scope) -> Compiled:
     left = compile_expression(node.left, scope)
     right = compile_expression(node.right, scope)
     if symbol == "AND":
-        return lambda row: bool(left(row)) and bool(right(row))
+        def both(row: Any) -> Any:
+            first = left(row)
+            return False if _false(first) else _and(first, right(row))
+        return both
     if symbol == "OR":
-        return lambda row: bool(left(row)) or bool(right(row))
+        def either(row: Any) -> Any:
+            first = left(row)
+            return True if first else _or(first, right(row))
+        return either
     if isinstance(node.right, Literal):
         value = node.right.value
         if symbol == "=":
@@ -218,9 +247,9 @@ def _compile_binary(node: BinaryOp, scope: Scope) -> Compiled:
         if symbol == "LIKE" and value is not None:
             pattern = re.compile(_like_to_regex(str(value)))
 
-            def like(row: Any) -> bool:
+            def like(row: Any) -> Any:
                 subject = left(row)
-                return subject is not None and pattern.match(str(subject)) is not None
+                return None if subject is None else pattern.match(str(subject)) is not None
             return like
     operation = _operation(symbol)
     return lambda row: operation(left(row), right(row))
@@ -240,7 +269,7 @@ def _compile_in(node: InList, scope: Scope) -> Compiled:
 
 def _compile_between(node: Between, scope: Scope) -> Compiled:
     """``low <= operand AND operand <= high``, with the comparisons of
-    ``<=``: a NULL bound or operand is false, mixed types an error."""
+    ``<=``: a NULL bound or operand is unknown, mixed types an error."""
     operand = compile_expression(node.operand, scope)
     low = compile_expression(node.low, scope)
     high = compile_expression(node.high, scope)
@@ -251,8 +280,9 @@ def _compile_between(node: Between, scope: Scope) -> Compiled:
         value = operand(row)
         low_value = low(row)
         high_value = high(row)
-        result = at_most(low_value, value) and at_most(value, high_value)
-        return not result if negated else result
+        first = at_most(low_value, value)
+        result = False if _false(first) else _and(first, at_most(value, high_value))
+        return _not(result) if negated else result
     return between
 
 

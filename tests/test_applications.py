@@ -1,12 +1,15 @@
 """Tests for the traffic-analysis and MALT application substrates."""
 
+import contextlib
 import copy
 import gc
+import operator
 import sys
 import threading
 import time
 import weakref
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,8 +28,10 @@ from repro.graph import PropertyGraph, diff_graphs, from_networkx, graphs_equal
 from repro.graph.convert import from_frames, from_sql_database, to_networkx
 from repro.llm.base import LlmProvider
 from repro.sandbox import ExecutionSandbox, SandboxPolicy
+from repro.sandbox import executor as executor_module
 from repro.malt import (
     EntityKind,
+    MaltApplication,
     MaltTopologyConfig,
     RelationshipKind,
     generate_malt_topology,
@@ -306,7 +311,7 @@ def _read_backs(application, write=False):
     frames = application.frame_view()
     database = application.sql_view()
     if write:
-        nx_graph.graph.update()
+        nx_graph.graph.update(nx_graph.graph)
         frames[1]["bytes"] = [float(value) for value in frames[1]["bytes"]]
         database.execute("DELETE FROM edges WHERE bytes < 0")
     head = {"name": graph.name, "directed": graph.directed}
@@ -353,6 +358,22 @@ _WRITING_CELLS = {
     "sql-update-no-row": ("sql", "sql", "UPDATE nodes SET type = 'x' WHERE id = 'none'"),
     "sql-delete-no-row": ("sql", "sql", "DELETE FROM edges WHERE bytes < 0"),
 }
+
+
+def test_a_view_shares_no_mutable_value_with_the_graph():
+    """A list an edge holds is copied into the view: a program appending to
+    it leaves the graph alone, reads back by conversion, and the view is
+    never handed out again (its log cannot see the append)."""
+    graph = PropertyGraph("paths")
+    graph.add_edge("a", "b", path=["a", "b"])
+    application = TrafficAnalysisApplication(graph)
+    view = application.networkx_view()
+    view["a"]["b"]["path"].append("X")
+    assert graph.edge_attributes("a", "b")["path"] == ["a", "b"]
+    read_back = application.read_networkx_view(view)
+    assert read_back.edge_attributes("a", "b")["path"] == ["a", "b", "X"]
+    application.recycle_networkx_view(view)
+    assert application.networkx_view() is not view
 
 
 class TestUnwrittenReadBack:
@@ -417,7 +438,7 @@ class TestUnwrittenReadBack:
             application, _ScriptedProvider(language, code), backend).run_query("write")
         assert result.succeeded, result.error_message
         updated = result.updated_graph
-        assert updated._nodes is not application.graph._nodes
+        assert updated is not application.graph
         edge = application.graph.edges()[0]
         if cell.endswith("equal-float") or cell.endswith("equal-floats"):
             assert type(updated.edge_attributes(*edge)["bytes"]) is float
@@ -462,13 +483,12 @@ def _undirected_mirrored_application():
 
 def _networkx_cell(application, code, sandbox=None):
     """Run *code* as a networkx cell and offer its view back for reuse:
-    ``(the view the cell left in G, the pipeline result)``."""
+    ``(the view the cell was handed, the pipeline result)``."""
     pipeline = NetworkManagementPipeline(
         application, _ScriptedProvider("python", code), "networkx", sandbox=sandbox)
     result = pipeline.run_query("cell")
-    view = result.execution.namespace.get("G")
     pipeline.recycle_view(result)
-    return view, result
+    return result.view, result
 
 
 #: a cell that fills every networkx cached view of G and writes nothing
@@ -499,8 +519,8 @@ def _empty(rows):
 
 
 #: cells that leave their view unlike a new one, so that its next taker
-#: must get a new one: name -> the code, or view -> the code.  They run on
-#: a directed traffic application.
+#: must get it rolled back, or a new one: name -> the code, or view -> the
+#: code.  They run on a directed traffic application.
 _LEAKING_CELLS = {
     "graph-key": "G.graph['note'] = 1",
     "node-attribute-write": "G.nodes[list(G)[0]]['type'] = 'other'",
@@ -535,7 +555,7 @@ _LEAKING_CELLS = {
     "getattr-dict-mutator": "getattr(dict, 'update')(G.graph, note=1)",
 }
 
-#: leaking cells that write behind the methods of G's dicts, which record
+#: leaking cells that write behind the methods of G's dicts, which log
 #: writes: the sandbox policy rejects them
 _BYPASS_CELLS = ("dict-name-mutator", "mutator-dunder", "getattr-dict-mutator")
 
@@ -555,9 +575,26 @@ _LEAKING_UNDIRECTED_CELLS = {
 }
 
 
+#: leaking cells that rebind a storage attribute of G, so that the view
+#: has no log to roll back and is dropped
+_REBINDING_CELLS = ("succ-split",)
+
+
+def _same_values(nx_graph, graph):
+    """True when every attribute value of *nx_graph* is the object *graph*
+    stores at the same place."""
+    def same(left, right):
+        return list(left) == list(right) and all(map(operator.is_, left.values(),
+                                                     right.values()))
+    return (all(same(nx_graph._node[node], attrs) for node, attrs in graph._nodes.items())
+            and all(same(nx_graph._adj[source][target], attrs)
+                    for source, target, attrs in graph.edges(data=True)))
+
+
 class TestRecycledNetworkxView:
-    """A networkx view its cell left as new is handed to the next cell
-    instead of a new conversion; any other view is dropped."""
+    """A networkx view a cell has finished with is rolled back and handed
+    to the next cell instead of a new conversion; a view whose storage
+    attributes were rebound is dropped."""
 
     @pytest.mark.parametrize("name", ["traffic", "malt", "undirected"])
     def test_recycled_view_equals_a_new_one(self, corpus_applications, name,
@@ -586,10 +623,11 @@ class TestRecycledNetworkxView:
         _read_backs(application)  # the unwritten read-backs exist already
         view, result = _networkx_cell(application, code + "\nresult = 0")
         if result.succeeded:  # read back as written
-            assert result.updated_graph._nodes is not application.graph._nodes, cell
+            assert result.updated_graph is not application.graph, cell
         following = application.networkx_view()
-        assert following is not view
+        assert (following is view) == (cell not in _REBINDING_CELLS)
         assert storage_layout(following) == storage_layout(to_networkx(application.graph))
+        assert _same_values(following, application.graph)
 
     @pytest.mark.parametrize("cell", _BYPASS_CELLS)
     def test_bypass_cell_is_rejected(self, cell):
@@ -597,7 +635,7 @@ class TestRecycledNetworkxView:
         view, result = _networkx_cell(application, _LEAKING_CELLS[cell] + "\nresult = 0")
         assert result.execution.error_type == "PolicyViolation"
         assert "note" not in view.graph
-        # unchecked, the cell writes to G without setting its flag
+        # unchecked, the cell writes to G without logging it
         outcome = ExecutionSandbox().execute(_LEAKING_CELLS[cell], {"G": view},
                                              validate=False)
         assert not outcome.failed and view.graph["note"] == 1
@@ -621,30 +659,48 @@ class TestRecycledNetworkxView:
     def test_the_last_read_back_decides(self):
         application = TrafficAnalysisApplication.with_size(12, 15)
         view = application.networkx_view()
-        application.read_networkx_view(view)
+        assert application.read_networkx_view(view) is application.graph
         view.graph["note"] = 1
-        application.read_networkx_view(view)
+        assert application.read_networkx_view(view).graph_attributes["note"] == 1
         application.recycle_networkx_view(view)
-        assert application.networkx_view() is not view
+        assert application.networkx_view() is view and "note" not in view.graph
 
-    def test_a_view_not_read_back_since_it_was_taken_is_dropped(self):
+    def test_a_view_not_read_back_since_it_was_taken_is_rolled_back(self):
         application = TrafficAnalysisApplication.with_size(12, 15)
         view = _networkx_cell(application, _READING_CELL)[0]
         assert application.networkx_view() is view
         view.graph["note"] = 1
         application.recycle_networkx_view(view)
-        assert application.networkx_view() is not view
+        assert application.networkx_view() is view and "note" not in view.graph
 
-    def test_timed_out_cell_drops_its_view(self):
+    def test_stopped_timed_out_cell_recycles_its_view(self):
+        application = TrafficAnalysisApplication.with_size(12, 15)
+        code = "while True:\n    G.graph['late'] = 1\n    G.add_node('late')"
+        view, result = _networkx_cell(application, code,
+                                      ExecutionSandbox(SandboxPolicy(max_seconds=0.02)))
+        assert result.execution.error_type == "SandboxTimeout"
+        assert not result.execution.still_running
+        assert application.networkx_view() is view
+        assert "late" not in view.graph and "late" not in view
+
+    def test_timed_out_cell_drops_its_view(self, monkeypatch):
+        """A cell whose program outlives its timeout, catching the
+        exception that stops it, keeps its view."""
+        monkeypatch.setattr(executor_module, "_STOP_GRACE_SECONDS", 0.01)
         application = TrafficAnalysisApplication.with_size(12, 15)
         code = ("total = 0\n"
-                "for step in range(3_000_000):\n"
-                "    total += step\n"
+                "try:\n"
+                "    while True:\n"
+                "        total += 1\n"
+                "except:\n"
+                "    for step in range(3_000_000):\n"
+                "        total += step\n"
                 "G.graph['late'] = total\n"
                 "result = 0")
         view, result = _networkx_cell(application, code,
                                       ExecutionSandbox(SandboxPolicy(max_seconds=0.02)))
         assert result.execution.error_type == "SandboxTimeout"
+        assert result.execution.still_running
         following = application.networkx_view()
         deadline = time.monotonic() + 60
         while "late" not in view.graph and time.monotonic() < deadline:
@@ -674,6 +730,10 @@ class TestRecycledNetworkxView:
         runner.run_query(application, query, "gpt-4", "networkx")
         assert len(builds) == 2
         assert dict(degrees) == before
+        code[0] = "raise ValueError('no')"  # a written view goes back rolled back
+        runner.run_query(application, query, "gpt-4", "networkx")
+        runner.run_query(application, query, "gpt-4", "networkx")
+        assert len(builds) == 2
 
     def test_sync_state_drops_the_idle_view(self):
         application = TrafficAnalysisApplication.with_size(12, 15)
@@ -723,6 +783,119 @@ class TestRecycledNetworkxView:
             application, _ScriptedProvider("python", _READING_CELL), "networkx")
         first, second = pipeline.run_query("one"), pipeline.run_query("two")
         assert first.execution.namespace["G"] is not second.execution.namespace["G"]
+
+
+def _node_at(nx_graph, index):
+    nodes = list(nx_graph)
+    return nodes[index % len(nodes)] if nodes else f"new{index}"
+
+
+def _edge_at(nx_graph, index):
+    edges = list(nx_graph.edges)
+    return edges[index % len(edges)] if edges else None
+
+
+def _with_edge(mutate):
+    def apply(g, i, j, value):
+        edge = _edge_at(g, i)
+        if edge is not None:
+            mutate(g, edge, j, value)
+    return apply
+
+
+#: networkx mutations a program may make: name -> mutate(G, i, j, value),
+#: where i and j pick nodes or edges and value is an attribute value
+_MUTATORS = {
+    "add-node": lambda g, i, j, value: g.add_node(f"new{i}", weight=value),
+    "add-existing-node": lambda g, i, j, value: g.add_node(_node_at(g, i), weight=value),
+    "remove-node": lambda g, i, j, value: g.remove_nodes_from([_node_at(g, i)]),
+    "add-edge": lambda g, i, j, value: g.add_edge(_node_at(g, i), _node_at(g, j), bytes=value),
+    "add-edge-to-new-node": lambda g, i, j, value: g.add_edge(_node_at(g, i), f"new{j}"),
+    "remove-edge": _with_edge(lambda g, edge, j, value: g.remove_edge(*edge)),
+    "re-add-edge": _with_edge(lambda g, edge, j, value: (
+        g.remove_edge(*edge), g.add_edge(*edge, bytes=value))),
+    "node-attribute": lambda g, i, j, value: g.nodes[_node_at(g, i)].__setitem__(
+        "type", value) if len(g) else None,
+    "edge-attribute": _with_edge(lambda g, edge, j, value: g.edges[edge].__setitem__(
+        f"k{j}", value)),
+    "edge-attribute-removed": _with_edge(lambda g, edge, j, value: g.edges[edge].pop(
+        next(iter(g.edges[edge]), None), None)),
+    "attributes-cleared": lambda g, i, j, value: g.nodes[_node_at(g, i)].clear()
+    if len(g) else None,
+    "attributes-updated": _with_edge(lambda g, edge, j, value: g.edges[edge].update(
+        bytes=value, extra=j)),
+    "attributes-or": _with_edge(lambda g, edge, j, value: operator.ior(
+        g.edges[edge], {"bytes": value})),
+    "attribute-popitem": lambda g, i, j, value: g.nodes[_node_at(g, i)].popitem()
+    if len(g) and g.nodes[_node_at(g, i)] else None,
+    "attribute-setdefault": lambda g, i, j, value: g.nodes[_node_at(g, i)].setdefault(
+        f"k{j}", value) if len(g) else None,
+    "graph-key": lambda g, i, j, value: g.graph.__setitem__(f"k{j}", value),
+    "graph-name-removed": lambda g, i, j, value: g.graph.pop("name", None),
+    "graph-updated": lambda g, i, j, value: g.graph.update(application=value),
+    "graph-cleared": lambda g, i, j, value: g.clear(),
+    "edges-cleared": lambda g, i, j, value: g.clear_edges(),
+    "node-removed-behind-networkx": lambda g, i, j, value: [
+        table.pop(node, None) for node in [_node_at(g, i)]
+        for table in (g._node, g._adj, g._pred)],
+    "row-shared-behind-networkx": lambda g, i, j, value: g._adj.__setitem__(
+        _node_at(g, i), g._adj[_node_at(g, j)]) if len(g) else None,
+}
+
+_ROLLBACK_APPLICATIONS = {}
+
+
+def _rollback_application(name):
+    """One application per name for every example, so that each example
+    runs on the view the previous one rolled back."""
+    if name not in _ROLLBACK_APPLICATIONS:
+        _ROLLBACK_APPLICATIONS[name] = (
+            TrafficAnalysisApplication.with_size(12, 15) if name == "traffic"
+            else MaltApplication(config=MaltTopologyConfig(
+                datacenters=1, pods_per_datacenter=1, racks_per_pod=2, chassis_per_rack=1,
+                switches_per_chassis=2, ports_per_switch=2, control_points=2,
+                port_links=3)))
+    return _ROLLBACK_APPLICATIONS[name]
+
+
+class TestWriteLogRollback:
+    """Random networkx mutations of a recycled view: its read-back equals
+    the view's conversion, and its rollback equals a new conversion."""
+
+    @pytest.mark.parametrize("name", ["traffic", "malt"])
+    @settings(max_examples=60, deadline=None)
+    @given(mutations=st.lists(st.tuples(st.sampled_from(sorted(_MUTATORS)),
+                                        st.integers(0, 50), st.integers(0, 50),
+                                        st.integers(-3, 3)), max_size=12))
+    def test_rollback_restores_a_new_conversion(self, name, mutations, storage_layout):
+        application = _rollback_application(name)
+        graph = application.graph
+        pristine = storage_layout(graph)
+        view = application.networkx_view()
+        for mutation, i, j, value in mutations:
+            # a write behind networkx can make a later call raise halfway,
+            # as a failing program would
+            with contextlib.suppress(KeyError, nx.NetworkXError):
+                _MUTATORS[mutation](view, i, j, value)
+        read_back, converted = application.read_networkx_view(view), from_networkx(view)
+        assert diff_graphs(converted, read_back).is_empty
+        assert (read_back.name, read_back.graph_attributes) == (
+            converted.name, converted.graph_attributes)
+        assert list(read_back._nodes) == list(converted._nodes)
+        assert [(u, list(row)) for u, row in read_back._succ.items()] == [
+            (u, list(row)) for u, row in converted._succ.items()]
+        assert {v: set(row) for v, row in read_back._pred.items()} == {
+            v: set(row) for v, row in converted._pred.items()}
+        assert all(read_back._pred[v][u] is attrs
+                   for u, v, attrs in read_back.edges(data=True))
+        application.recycle_networkx_view(view)
+        assert application.networkx_view() is view
+        assert storage_layout(view) == storage_layout(to_networkx(graph))
+        assert _same_values(view, graph)
+        assert all(map(operator.is_, view.graph.values(),
+                       {**graph.graph_attributes, "name": graph.name}.values()))
+        assert storage_layout(graph) == pristine
+        application.recycle_networkx_view(view)
 
 
 class TestMaltSchema:

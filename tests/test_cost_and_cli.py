@@ -1,5 +1,10 @@
 """Tests for the cost/scalability analysis and the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.benchmark.queries import query_by_id
@@ -63,6 +68,13 @@ class TestCli:
     def test_no_command_shows_help(self, capsys):
         assert main([]) == 2
         assert "usage: repro " in capsys.readouterr().out
+
+    def test_python_dash_m_runs_the_cli(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        completed = subprocess.run([sys.executable, "-m", "repro", "--help"], env=env,
+                                   capture_output=True, text=True, timeout=120)
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.startswith("usage: repro ")
 
     def test_queries_command(self, capsys):
         assert main(["queries"]) == 0

@@ -26,7 +26,7 @@ from repro.graph import (
     to_networkx,
     to_sql_database,
 )
-from repro.graph.convert import TrackedDict, Writes, from_frames, from_sql_database
+from repro.graph.convert import TrackedDict, WriteLog, from_frames, from_sql_database
 from repro.graph import diff as diff_module
 from repro.graph.diff import ABSENT, values_equal
 from repro.graph.stats import degree_histogram, top_nodes_by_weight
@@ -543,14 +543,14 @@ class TestCopies:
         graph = PropertyGraph("tracked")
         graph.add_edge("a", "b")
         tracked = TrackedDict(bytes=1)
-        tracked.writes = Writes()
+        tracked.log = WriteLog()
         graph._succ["a"]["b"] = graph._pred["b"]["a"] = tracked
         graph._nodes["a"] = ReadOnlyDict(size=1)
         duplicate = graph.copy()
         assert type(duplicate._succ["a"]["b"]) is dict
         assert type(duplicate._nodes["a"]) is dict
         duplicate._succ["a"]["b"]["bytes"] = 2
-        assert not tracked.writes.written
+        assert not tracked.log.entries
 
 
 def _storage_dicts(nx_graph):
@@ -563,26 +563,52 @@ def _storage_dicts(nx_graph):
     return tops + list(nx_graph._node.values()) + rows + attrs
 
 
+def test_diff_compares_only_the_rows_that_are_not_shared(monkeypatch):
+    """A graph sharing all but a few rows with another diffs against it as
+    a full copy with the same changes does, comparing only those rows."""
+    graph = build_sample()
+    copied, shared = graph.copy(), PropertyGraph(graph.name)
+    shared._nodes, shared._succ, shared._pred = dict(graph._nodes), dict(graph._succ), graph._pred
+    shared._nodes["a"] = dict(graph._nodes["a"])
+    shared._succ["b"] = {"a": {"bytes": 51, "packets": 2}, "d": {}}
+    for changed in (copied, shared):
+        changed._nodes["a"]["type"] = "router"
+    copied._succ["b"]["a"]["bytes"] = 51
+    copied.add_edge("b", "d")
+    del copied._succ["b"]["c"]
+    del copied._nodes["d"]
+    compared = []
+    original = diff_module._diff_attrs
+    monkeypatch.setattr(diff_module, "_diff_attrs",
+                        lambda left, right, tolerance: compared.append(left)
+                        or original(left, right, tolerance))
+    expected = diff_graphs(graph, copied)
+    assert not expected.is_empty
+    compared.clear()
+    assert diff_graphs(graph, shared) == expected
+    assert compared == [graph._nodes["a"], graph._succ["b"]["a"]]
+
+
 class TestTrackedNetworkx:
-    """A conversion with ``writes`` stores what a plain one does, in
-    ``TrackedDict``s: reads leave the flag clear, networkx's writers set it."""
+    """A conversion with ``log`` stores what a plain one does, in
+    ``TrackedDict``s: reads log nothing, networkx's writers log."""
 
     @pytest.mark.parametrize("name", ["traffic", "malt", "sample", "undirected"])
     def test_tracked_conversion_stores_what_the_plain_one_does(self, layout_graphs, name,
                                                               storage_layout):
         graph = layout_graphs[name]
         for force_directed in (False, True):
-            writes = Writes()
-            tracked = to_networkx(graph, force_directed=force_directed, writes=writes)
+            log = WriteLog()
+            tracked = to_networkx(graph, force_directed=force_directed, log=log)
             assert storage_layout(tracked) == storage_layout(
                 to_networkx(graph, force_directed=force_directed))
-            assert all(type(d) is TrackedDict and d.writes is writes
+            assert all(type(d) is TrackedDict and d.log is log
                        for d in _storage_dicts(tracked))
             assert all(type(d) is dict for d in _storage_dicts(
                 to_networkx(graph, force_directed=force_directed)))
             _ = (list(nx.bfs_edges(tracked, next(iter(tracked)))), dict(tracked.degree),
                  list(tracked.edges(data=True)), dict(tracked.nodes(data=True)))
-            assert not writes.written
+            assert not log.entries
 
     @pytest.mark.parametrize("write", [
         lambda g: g.add_edge("a", "z"),
@@ -592,10 +618,10 @@ class TestTrackedNetworkx:
         lambda g: nx.set_node_attributes(g, 1, "mark"),
     ])
     def test_networkx_writes_are_recorded(self, write):
-        writes = Writes()
-        nx_graph = to_networkx(build_sample(), writes=writes)
+        log = WriteLog()
+        nx_graph = to_networkx(build_sample(), log=log)
         write(nx_graph)
-        assert writes.written
+        assert log.entries
 
 
 #: mutator name -> a call of it on ``{"a": 1}``, dunders through the operator
@@ -619,18 +645,23 @@ def test_the_mutation_table_covers_every_mutator():
 @pytest.mark.parametrize("name", DICT_MUTATORS)
 def test_each_mutator_refuses_or_records(name):
     """A ``ReadOnlyDict`` refuses every mutator and a ``TrackedDict``
-    records it; copies and pickles of either are plain dicts."""
+    logs it, so that a rollback restores it; copies and pickles of either
+    are plain dicts."""
     mutate = _MUTATIONS[name]
     frozen = ReadOnlyDict(a=1)
     with pytest.raises(TypeError, match="read-only"):
         mutate(frozen)
     assert frozen == {"a": 1}
 
-    tracked, plain = TrackedDict(a=1), {"a": 1}
-    tracked.writes = Writes()
+    tracked, plain = TrackedDict(a=1, z=3), {"a": 1, "z": 3}
+    value = tracked["a"]
+    tracked.log, tracked.ordered = WriteLog(), False
     returned = mutate(tracked)
-    assert tracked.writes.written
+    assert tracked.log.entries
     assert returned == mutate(plain) and tracked == plain
+    tracked.log.rollback()
+    assert list(tracked.items()) == [("a", 1), ("z", 3)] and tracked["a"] is value
+    assert not tracked.log.entries
     for original in (ReadOnlyDict(a=ReadOnlyDict(b=1)), TrackedDict(a=1)):
         for clone in (copy.copy(original), copy.deepcopy(original),
                       pickle.loads(pickle.dumps(original))):

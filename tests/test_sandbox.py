@@ -160,15 +160,18 @@ class TestExecutionSandbox:
         assert sys.stdout is stdout_before
 
     def test_stdout_is_untouched_after_a_timeout(self):
-        """A program still running after its timeout keeps printing into
-        its own buffer, not into a swapped process-wide stdout."""
+        """A program still running after its timeout (blocked, then
+        catching the exception that stops it) keeps printing into its own
+        buffer, not into a swapped process-wide stdout."""
         stdout_before = sys.stdout
         release, finished = threading.Event(), threading.Event()
         outcome = ExecutionSandbox(SandboxPolicy(max_seconds=0.05)).execute(
-            "print('early')\nrelease.wait()\nprint('late')\nfinished.set()\n",
+            "print('early')\ntry:\n    release.wait()\nexcept:\n    pass\n"
+            "print('late')\nfinished.set()\n",
             {"release": release, "finished": finished})
         try:
             assert outcome.error_type == "SandboxTimeout"
+            assert outcome.still_running
             assert outcome.stdout == "early\n"
             assert sys.stdout is stdout_before
         finally:
@@ -208,6 +211,17 @@ class TestExecutionSandbox:
         outcome = ExecutionSandbox(policy).execute("while True:\n    pass\n", {})
         assert outcome.failed
         assert outcome.error_type == "SandboxTimeout"
+
+    @pytest.mark.parametrize("code", [
+        "while True:\n    pass\n",
+        "while True:\n    try:\n        pass\n    except Exception:\n        pass\n",
+    ], ids=["loop", "loop-catching-exception"])
+    def test_timed_out_thread_is_stopped(self, code):
+        threads = threading.active_count()
+        outcome = ExecutionSandbox(SandboxPolicy(max_seconds=0.1)).execute(code, {})
+        assert outcome.error_type == "SandboxTimeout"
+        assert not outcome.still_running
+        assert threading.active_count() == threads
 
     def test_networkx_code_runs(self):
         import networkx as nx

@@ -178,9 +178,30 @@ class TestSelectExecution:
                     "SELECT id FROM t WHERE x >= 1 AND x <= 10"):
             assert database.execute(sql).to_records() == [{"id": 1}], sql
         assert database.execute(
-            "SELECT id FROM t WHERE x NOT BETWEEN 1 AND 10").to_records() == [{"id": 2}]
+            "SELECT id FROM t WHERE x NOT BETWEEN 1 AND 10").to_records() == []
         with pytest.raises(SqlExecutionError, match="cannot compare 1 and 'a'"):
             database.execute("SELECT id FROM t WHERE 'a' BETWEEN 1 AND 10")
+
+    @pytest.mark.parametrize("where, ids", [
+        ("x NOT BETWEEN 1 AND 10", []),
+        ("NOT (x >= 1)", []),
+        ("NOT (x LIKE '5')", []),
+        ("NOT (x >= 1 AND id = 1)", [2]),
+        ("NOT (x >= 1 AND id = 2)", [1]),
+        ("NOT (x >= 1 OR id = 1)", []),
+        ("x >= 1 OR id = 2", [1, 2]),
+        ("NOT NOT (x < 10)", [1]),
+    ])
+    def test_a_null_comparison_is_unknown(self, where, ids):
+        """A comparison, BETWEEN or LIKE with a NULL operand is unknown;
+        NOT, AND and OR propagate unknown, and WHERE selects and DELETE
+        removes only the rows where it is true."""
+        database = Database("nulls")
+        database.add_table(Table.from_columns("t", {"id": [1, 2], "x": [5, None]}))
+        assert database.execute(f"SELECT id FROM t WHERE {where}").column("id") == ids
+        database.execute(f"DELETE FROM t WHERE {where}")
+        assert database.execute("SELECT id FROM t").column("id") == [
+            row for row in (1, 2) if row not in ids]
 
     def test_any_output_name_keeps_its_values(self):
         database = Database("names")
