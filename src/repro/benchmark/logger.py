@@ -88,10 +88,6 @@ class ResultsLogger:
             counts[record.error_type or "unclassified"] += 1
         return dict(counts)
 
-    def total_cost(self, **filters) -> float:
-        """Total LLM cost (USD) over the matching records."""
-        return sum(record.cost_usd for record in self.filtered(**filters))
-
     # ------------------------------------------------------------------
     def to_records(self) -> List[Dict[str, object]]:
         """JSON-serializable dump of the log."""

@@ -400,13 +400,3 @@ def query_by_id(query_id: str) -> BenchmarkQuery:
 def bucket_size(application: str, complexity: str) -> int:
     """Number of queries in one complexity bucket of one application."""
     return sum(1 for query in queries_for(application) if query.complexity == complexity)
-
-
-def queries_by_complexity(application: str) -> Dict[str, List[BenchmarkQuery]]:
-    """Queries grouped by complexity, preserving difficulty-rank order."""
-    grouped: Dict[str, List[BenchmarkQuery]] = {level: [] for level in COMPLEXITY_LEVELS}
-    for query in queries_for(application):
-        grouped[query.complexity].append(query)
-    for level in grouped:
-        grouped[level].sort(key=lambda q: q.difficulty_rank)
-    return grouped

@@ -41,13 +41,11 @@ from repro.llm import available_models
 from repro.llm.calibration import TEMPORAL_BACKENDS
 from repro.obs import (
     DEFAULT_LEDGER_DIR,
-    ResourceSampler,
     RunLedger,
     diff_metrics,
-    disable_sampling,
-    enable_sampling,
     enable_tracing,
     metrics_document,
+    sample_now,
     write_metrics,
     write_trace,
 )
@@ -142,21 +140,6 @@ def _add_observability_arguments(parser: argparse.ArgumentParser) -> None:
                             "later with 'obs diff' (default: on)")
     group.add_argument("--ledger-dir", default=DEFAULT_LEDGER_DIR, metavar="DIR",
                        help=f"run-ledger directory (default {DEFAULT_LEDGER_DIR})")
-    group.add_argument("--sample", action=argparse.BooleanOptionalAction,
-                       default=True,
-                       help="sample RSS/CPU into resource.* gauges during the "
-                            "sweep — periodically here, once per task in "
-                            "workers (default: on)")
-
-
-def _start_observability(args: argparse.Namespace) -> Optional[ResourceSampler]:
-    """Arm tracing/sampling for a sweep; returns the running sampler, if any."""
-    if getattr(args, "trace_path", None):
-        enable_tracing()
-    if getattr(args, "sample", False):
-        enable_sampling()
-        return ResourceSampler().start()
-    return None
 
 
 def _ledger_meta(args: argparse.Namespace, wall_time_s: float,
@@ -176,19 +159,19 @@ def _ledger_meta(args: argparse.Namespace, wall_time_s: float,
 
 
 def _finish_observability(args: argparse.Namespace,
-                          sampler: Optional[ResourceSampler] = None,
                           wall_time_s: float = 0.0,
                           exit_code: Optional[int] = None) -> None:
     """Export whatever the sweep recorded; runs even if the sweep failed.
 
-    The writers log the destination themselves at INFO level.  A failed
-    sweep still writes its ledger entry — the entry's ``exit_code`` says how
-    the run ended, and a trace that stops at the failing span is exactly
-    what you want to look at.
+    A sweep command takes its one resource reading here: peak RSS is a
+    high-water mark and CPU time only grows, so a reading at the end covers
+    the whole run.  The writers log the destination themselves at INFO
+    level.  A failed sweep still writes its ledger entry — the entry's
+    ``exit_code`` says how the run ended, and a trace that stops at the
+    failing span is exactly what you want to look at.
     """
-    if sampler is not None:
-        sampler.stop()
-        disable_sampling()
+    if hasattr(args, "metrics_path"):
+        sample_now()
     if getattr(args, "trace_path", None):
         write_trace(args.trace_path)
     if getattr(args, "metrics_path", None):
@@ -904,7 +887,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     _configure_logging(args.log_level)
     started = time.perf_counter()
-    sampler = _start_observability(args)
+    if getattr(args, "trace_path", None):
+        enable_tracing()
     exit_code: Optional[int] = None
     try:
         exit_code = handlers[args.command](args)
@@ -918,8 +902,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     finally:
         # a failed sweep still exports what it recorded — a trace that ends
         # at the failing span is exactly what you want to look at
-        _finish_observability(args, sampler,
-                              wall_time_s=time.perf_counter() - started,
+        _finish_observability(args, wall_time_s=time.perf_counter() - started,
                               exit_code=exit_code)
 
 

@@ -14,6 +14,7 @@ import abc
 import copy
 import threading
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import is_
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 from weakref import WeakKeyDictionary
@@ -32,6 +33,7 @@ from repro.graph.convert import (
     to_networkx,
     WriteLog,
 )
+from repro.graph.model import _scalars_only
 from repro.sqlengine import Database
 
 # sql_view builds on the memoized frames and never calls to_sql_database; it
@@ -227,9 +229,15 @@ class NetworkApplication(abc.ABC):
                 self._entries().setdefault(_IDLE_VIEW, nx_graph)
 
     def frame_view(self):
-        """The state as ``(node_frame, edge_frame)`` (pandas-style backend input)."""
+        """The state as ``(node_frame, edge_frame)`` (pandas-style backend
+        input).  A graph with an attribute value of no scalar type gets a
+        deep copy, which shares no mutable value with the graph; its cells
+        are then other objects, so it reads back by conversion."""
+        deep = self._memoized("frames deep", lambda: not _scalars_only(chain(
+            (attrs for _, attrs in self._graph.nodes(data=True)),
+            (attrs for _, _, attrs in self._graph.edges(data=True)))))
         node_frame, edge_frame = self._frames()
-        return node_frame.copy(deep=False), edge_frame.copy(deep=False)
+        return node_frame.copy(deep=deep), edge_frame.copy(deep=deep)
 
     def sql_view(self):
         """The state as an in-memory SQL database (SQL backend input)."""

@@ -68,12 +68,3 @@ def looks_like_python(source: str) -> bool:
     except SyntaxError:
         return False
     return True
-
-
-def python_syntax_error(source: str) -> Optional[str]:
-    """Return the syntax-error message for *source*, or ``None`` if it parses."""
-    try:
-        ast.parse(source)
-    except SyntaxError as exc:
-        return f"{exc.msg} (line {exc.lineno})"
-    return None

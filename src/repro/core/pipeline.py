@@ -10,7 +10,7 @@ or the benchmark evaluator — can inspect it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional
 
 from repro.core.application import NetworkApplication
@@ -67,6 +67,16 @@ class PipelineResult:
     @property
     def cost_usd(self) -> float:
         return self.response.cost_usd if self.response else 0.0
+
+
+def _fail_execute(result: PipelineResult, error: Exception,
+                  outcome: ExecutionOutcome) -> None:
+    """Score *error* as an execute-stage failure of *result*."""
+    outcome.error_type = type(error).__name__
+    outcome.error_message = str(error)
+    result.execution = outcome
+    result.error_stage = "execute"
+    result.error_message = outcome.describe_error()
 
 
 class NetworkManagementPipeline:
@@ -155,12 +165,18 @@ class NetworkManagementPipeline:
             result.error_stage = "execute"
             result.error_message = outcome.describe_error()
             return
+        try:
+            if self.backend == "networkx":
+                updated = self.application.read_networkx_view(outcome.namespace["G"])
+            else:
+                updated = self.application.read_frame_view(
+                    outcome.namespace["nodes_df"], outcome.namespace["edges_df"])
+        except Exception as exc:  # noqa: BLE001 - a program can leave anything behind
+            # a program that rebinds or breaks its view fails like one that raises
+            _fail_execute(result, exc, replace(outcome, success=False))
+            return
         result.result_value = outcome.result
-        if self.backend == "networkx":
-            result.updated_graph = self.application.read_networkx_view(outcome.namespace["G"])
-        else:
-            result.updated_graph = self.application.read_frame_view(
-                outcome.namespace["nodes_df"], outcome.namespace["edges_df"])
+        result.updated_graph = updated
 
     def _execute_sql(self, result: PipelineResult) -> None:
         database = self.application.sql_view()
@@ -172,10 +188,7 @@ class NetworkManagementPipeline:
                 if returned is not None:
                     last_result = returned
         except SqlError as exc:
-            result.execution = ExecutionOutcome(
-                success=False, error_type=type(exc).__name__, error_message=str(exc))
-            result.error_stage = "execute"
-            result.error_message = f"{type(exc).__name__}: {exc}"
+            _fail_execute(result, exc, ExecutionOutcome(success=False))
             return
         result.execution = ExecutionOutcome(success=True, result=last_result)
         result.result_value = last_result

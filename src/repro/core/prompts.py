@@ -36,10 +36,6 @@ class PromptBundle:
     application_name: str
     metadata: Dict[str, Any] = field(default_factory=dict)
 
-    @property
-    def character_count(self) -> int:
-        return len(self.text)
-
 
 class ApplicationPromptGenerator:
     """Render the application-specific context block for a user query."""

@@ -195,11 +195,3 @@ class CostAnalyzer:
             representative = malt_query if spec.family == "malt" else traffic_query
             task_set.add(scenario_cost_task(self, spec, representative.query_id))
         return self._dispatch(task_set)
-
-    # ------------------------------------------------------------------
-    def average_cost_per_task(self, node_count: int = 40, edge_count: int = 40,
-                              backend: str = "networkx") -> float:
-        """The headline "average expense per task" number quoted in the paper."""
-        cdf = self.cost_cdf(node_count=node_count, edge_count=edge_count,
-                            backends=(backend,))
-        return cdf[backend].mean

@@ -18,14 +18,13 @@ to a serial run.
 from __future__ import annotations
 
 import math
-import multiprocessing
 from concurrent.futures import (FIRST_COMPLETED, ProcessPoolExecutor,
                                 ThreadPoolExecutor, wait)
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.exec.task import Task
 from repro.exec.workers import run_chunk, run_task  # noqa: F401 - run_task is pool-submitted
-from repro.obs import sampling_enabled, tracing_enabled
+from repro.obs import tracing_enabled
 from repro.utils.validation import require
 
 
@@ -120,18 +119,12 @@ class ParallelExecutor:
         Number of worker processes.
     chunk_size:
         Tasks per pool submission (default: auto, ~4 chunks per worker).
-    start_method:
-        Optional :mod:`multiprocessing` start method (``fork`` / ``spawn`` /
-        ``forkserver``).  ``None`` uses the platform default.  Workers are
-        resolved by dotted path, so every start method behaves identically.
     """
 
-    def __init__(self, jobs: int = 2, chunk_size: Optional[int] = None,
-                 start_method: Optional[str] = None) -> None:
+    def __init__(self, jobs: int = 2, chunk_size: Optional[int] = None) -> None:
         require(jobs >= 1, "jobs must be at least 1")
         self.jobs = jobs
         self.chunk_size = chunk_size
-        self.start_method = start_method
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -145,18 +138,16 @@ class ParallelExecutor:
         parent merges them back into one trace.
         """
         wire = task.to_wire()
-        wire["obs"] = {"trace": tracing_enabled(), "sample": sampling_enabled()}
+        wire["obs"] = {"trace": tracing_enabled()}
         return wire
 
     def execute(self, tasks: Sequence[Task]) -> List[Dict[str, Any]]:
         if not tasks:
             return []
         chunks = shard_tasks(tasks, self.jobs, self.chunk_size)
-        context = (multiprocessing.get_context(self.start_method)
-                   if self.start_method else None)
         by_key: Dict[str, Dict[str, Any]] = {}
         suspects: List[Task] = []
-        pool = ProcessPoolExecutor(max_workers=self.jobs, mp_context=context)
+        pool = ProcessPoolExecutor(max_workers=self.jobs)
         try:
             pending = {pool.submit(run_chunk, [self._to_wire(task) for task in chunk]): chunk
                        for chunk in chunks}
@@ -175,12 +166,12 @@ class ParallelExecutor:
                         suspects.extend(chunk)
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
-        for raw in self._retry_isolated(suspects, context):
+        for raw in self._retry_isolated(suspects):
             by_key[raw["key"]] = raw
         return [by_key[task.key] for task in tasks]
 
     # ------------------------------------------------------------------
-    def _retry_isolated(self, tasks: Sequence[Task], context) -> List[Dict[str, Any]]:
+    def _retry_isolated(self, tasks: Sequence[Task]) -> List[Dict[str, Any]]:
         """Re-run crash suspects one at a time, each behind a disposable pool.
 
         Workers are pure, so re-running an innocent task is free; only the
@@ -193,7 +184,7 @@ class ParallelExecutor:
         try:
             for task in tasks:
                 if pool is None:
-                    pool = ProcessPoolExecutor(max_workers=1, mp_context=context)
+                    pool = ProcessPoolExecutor(max_workers=1)
                 try:
                     results.append(pool.submit(run_task, self._to_wire(task)).result())
                 except BaseException as error:  # noqa: BLE001 - crash, not raise

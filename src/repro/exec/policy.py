@@ -60,8 +60,6 @@ class ExecutorPolicy:
     chunk_size: Optional[int] = None
     #: ``None`` (no caching), a directory path, or a live :class:`ResultCache`
     cache: Union[None, str, ResultCache] = None
-    #: optional :mod:`multiprocessing` start method (processes mode only)
-    start_method: Optional[str] = None
     #: keep :func:`~repro.exec.workers.worker_context` memos alive after an
     #: in-process run — long-lived owners (the serve layer) opt in so
     #: per-scenario state survives across requests instead of rebuilding
@@ -111,8 +109,7 @@ class ExecutorPolicy:
             return SerialExecutor()
         if mode == "threads":
             return ThreadExecutor(jobs=self.jobs, chunk_size=self.chunk_size)
-        return ParallelExecutor(jobs=self.jobs, chunk_size=self.chunk_size,
-                                start_method=self.start_method)
+        return ParallelExecutor(jobs=self.jobs, chunk_size=self.chunk_size)
 
     # ------------------------------------------------------------------
     # constructors

@@ -67,10 +67,6 @@ class RunReport:
         self.raise_on_error()
         return [result.value for result in self.results]
 
-    def value_by_key(self) -> Dict[str, Any]:
-        self.raise_on_error()
-        return {result.key: result.value for result in self.results}
-
     def raise_on_error(self) -> None:
         failures = self.failures()
         if failures:

@@ -99,9 +99,10 @@ def run_task(wire_task: Dict[str, Any]) -> Dict[str, Any]:
 
     When the wire form carries an ``obs`` marker (set by the parallel
     executor for pool children), the task runs under an isolated
-    observability capture and its spans/metric deltas ride back to the
-    parent in an extra ``obs`` result field — *never* inside ``value``, so
-    telemetry cannot perturb results, digests, or cached entries.
+    observability capture, takes one resource reading, and its spans and
+    metric deltas ride back to the parent in an extra ``obs`` result field
+    — *never* inside ``value``, so telemetry cannot perturb results,
+    digests, or cached entries.
     """
     observe = wire_task.get("obs")
     if observe is None:
@@ -110,10 +111,9 @@ def run_task(wire_task: Dict[str, Any]) -> Dict[str, Any]:
         return _execute_wire_task(wire_task)
     with collect_observations(trace=bool(observe.get("trace"))) as capture:
         raw = _execute_wire_task(wire_task)
-        if observe.get("sample"):
-            # one resource reading per task: the gauges max-merge, so the
-            # parent ends up with each worker process's peak footprint
-            sample_now()
+        # one resource reading per task: the gauges max-merge, so the
+        # parent ends up with each worker process's peak footprint
+        sample_now()
     raw["obs"] = capture.to_wire()
     return raw
 

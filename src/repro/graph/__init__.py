@@ -16,7 +16,6 @@ from repro.graph.serialization import (
     graph_from_dict,
     graph_to_json,
     graph_from_json,
-    graph_to_edge_list,
 )
 from repro.graph.convert import (
     to_networkx,
@@ -39,7 +38,6 @@ __all__ = [
     "graph_from_dict",
     "graph_to_json",
     "graph_from_json",
-    "graph_to_edge_list",
     "to_networkx",
     "from_networkx",
     "to_frames",

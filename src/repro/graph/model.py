@@ -272,22 +272,6 @@ class PropertyGraph:
     # ------------------------------------------------------------------
     # bulk helpers
     # ------------------------------------------------------------------
-    def find_nodes(self, **conditions: Any) -> List[NodeId]:
-        """Return ids of nodes whose attributes equal every given condition."""
-        matches = []
-        for nid, attrs in self._nodes.items():
-            if all(attrs.get(key) == value for key, value in conditions.items()):
-                matches.append(nid)
-        return matches
-
-    def find_edges(self, **conditions: Any) -> List[EdgeKey]:
-        """Return ``(u, v)`` pairs whose attributes equal every given condition."""
-        matches = []
-        for source, target, attrs in self.edges(data=True):
-            if all(attrs.get(key) == value for key, value in conditions.items()):
-                matches.append((source, target))
-        return matches
-
     def subgraph(self, node_ids: Iterable[NodeId]) -> "PropertyGraph":
         """Return a deep-copied subgraph induced on *node_ids*.
 

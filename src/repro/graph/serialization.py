@@ -1,17 +1,14 @@
 """Serialization of :class:`~repro.graph.model.PropertyGraph`.
 
-Two formats are supported:
-
-* a node-link dictionary / JSON document (the format the *strawman* baseline
-  pastes into the LLM prompt, so its size directly drives the token-cost
-  analysis of Figure 4), and
-* a flat edge list used by a few golden answers and by the CLI export.
+The format is a node-link dictionary / JSON document: the one the
+*strawman* baseline pastes into the LLM prompt, so its size directly drives
+the token-cost analysis of Figure 4.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.graph.model import PropertyGraph
 from repro.utils.validation import require
@@ -66,23 +63,3 @@ def graph_to_json(graph: PropertyGraph, indent: Optional[int] = None) -> str:
 def graph_from_json(text: str) -> PropertyGraph:
     """Parse a JSON string produced by :func:`graph_to_json`."""
     return graph_from_dict(json.loads(text))
-
-
-def graph_to_edge_list(graph: PropertyGraph,
-                       weight_keys: Optional[List[str]] = None) -> List[Dict[str, Any]]:
-    """Flatten the graph into a list of edge records.
-
-    Each record contains ``source``, ``target`` and, when *weight_keys* is
-    given, only those attribute columns; otherwise all edge attributes are
-    included.
-    """
-    records = []
-    for source, target, attrs in graph.edges(data=True):
-        record: Dict[str, Any] = {"source": source, "target": target}
-        if weight_keys is None:
-            record.update(attrs)
-        else:
-            for key in weight_keys:
-                record[key] = attrs.get(key)
-        records.append(record)
-    return records

@@ -95,27 +95,3 @@ def compute_stats(graph: PropertyGraph, type_key: str = "type",
         node_type_counts=dict(type_counter),
         edge_weight_totals=weight_totals,
     )
-
-
-def degree_histogram(graph: PropertyGraph) -> Dict[int, int]:
-    """Return a mapping from total degree to the number of nodes with it."""
-    counter: Counter = Counter(graph.degree(n) for n in graph.nodes())
-    return dict(sorted(counter.items()))
-
-
-def top_nodes_by_weight(graph: PropertyGraph, weight_key: str, k: int = 5,
-                        direction: str = "total") -> List[tuple]:
-    """Return the *k* nodes with the largest weighted degree.
-
-    ``direction`` selects ``"in"``, ``"out"`` or ``"total"`` weighted degree.
-    """
-    selector = {
-        "in": lambda n: graph.in_degree(n, weight=weight_key),
-        "out": lambda n: graph.out_degree(n, weight=weight_key),
-        "total": lambda n: graph.degree(n, weight=weight_key),
-    }
-    if direction not in selector:
-        raise ValueError(f"direction must be in/out/total, got {direction!r}")
-    scored = [(node, selector[direction](node)) for node in graph.nodes()]
-    scored.sort(key=lambda item: (-item[1], str(item[0])))
-    return scored[:k]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.llm.pricing import DEFAULT_PRICING, PricingTable
 from repro.llm.tokenizer import ApproximateTokenizer
@@ -53,10 +53,6 @@ class LlmResponse:
     cost_usd: float
     metadata: Dict[str, Any] = field(default_factory=dict)
 
-    @property
-    def total_tokens(self) -> int:
-        return self.prompt_tokens + self.completion_tokens
-
 
 class LlmProvider(abc.ABC):
     """Common behaviour of every provider: token accounting and window checks."""
@@ -73,14 +69,8 @@ class LlmProvider(abc.ABC):
     def __init__(self, pricing: Optional[PricingTable] = None) -> None:
         self._pricing = pricing or DEFAULT_PRICING
         self._tokenizer = ApproximateTokenizer()
-        self._requests: List[LlmRequest] = []
 
     # ------------------------------------------------------------------
-    @property
-    def request_log(self) -> List[LlmRequest]:
-        """All requests served by this provider instance (for cost analysis)."""
-        return list(self._requests)
-
     def count_tokens(self, text: str) -> int:
         return self._tokenizer.count(text)
 
@@ -93,7 +83,6 @@ class LlmProvider(abc.ABC):
         prompt_tokens = self.count_tokens(request.prompt)
         if prompt_tokens > self.context_window:
             raise TokenLimitExceeded(self.model_name, prompt_tokens, self.context_window)
-        self._requests.append(request)
         text, metadata = self._generate(request)
         completion_tokens = self.count_tokens(text)
         cost = self._pricing.cost(self.model_name, prompt_tokens, completion_tokens)

@@ -16,7 +16,7 @@ label smuggled through the pipeline.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.utils.validation import require_in
 
@@ -138,25 +138,6 @@ class FaultInjector:
         if fault is FaultType.GRAPHS_NOT_IDENTICAL:
             return "I updated the graph as requested (no changes were necessary)."
         raise ValueError(f"unhandled fault type {fault}")
-
-    # ------------------------------------------------------------------
-    def expected_signature(self, fault_type: str) -> Dict[str, str]:
-        """A description of how each fault type manifests at execution time.
-
-        Used by documentation and by tests that assert the classifier maps
-        outcomes back to the right taxonomy bucket.
-        """
-        fault = FaultType(fault_type)
-        signatures = {
-            FaultType.SYNTAX_ERROR: {"stage": "parse", "signal": "SyntaxError"},
-            FaultType.IMAGINARY_GRAPH_ATTRIBUTE: {"stage": "run", "signal": "KeyError on attribute"},
-            FaultType.IMAGINARY_FUNCTION_ARGUMENT: {"stage": "run", "signal": "TypeError unexpected keyword"},
-            FaultType.ARGUMENT_ERROR: {"stage": "run", "signal": "TypeError argument count"},
-            FaultType.OPERATION_ERROR: {"stage": "run", "signal": "TypeError unsupported operand"},
-            FaultType.WRONG_CALCULATION_LOGIC: {"stage": "compare", "signal": "wrong value"},
-            FaultType.GRAPHS_NOT_IDENTICAL: {"stage": "compare", "signal": "graph mismatch"},
-        }
-        return signatures[fault]
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from repro.malt.schema import (
     EntityKind,
     RelationshipKind,
     CONTAINMENT_HIERARCHY,
-    entity_kind_names,
 )
 from repro.malt.generator import MaltTopologyConfig, generate_malt_topology, paper_scale_topology
 from repro.malt.application import MaltApplication
@@ -24,7 +23,6 @@ __all__ = [
     "EntityKind",
     "RelationshipKind",
     "CONTAINMENT_HIERARCHY",
-    "entity_kind_names",
     "MaltTopologyConfig",
     "generate_malt_topology",
     "paper_scale_topology",

@@ -11,7 +11,7 @@ directed edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.graph import PropertyGraph
 from repro.malt.schema import EntityKind, RelationshipKind
@@ -49,24 +49,6 @@ class MaltTopologyConfig:
         require(self.ports_per_switch >= 1, "ports_per_switch must be at least 1")
         require(self.control_points >= 1, "control_points must be at least 1")
         require(self.port_links >= 0, "port_links must be non-negative")
-
-    @property
-    def expected_node_count(self) -> int:
-        switches = (self.datacenters * self.pods_per_datacenter * self.racks_per_pod
-                    * self.chassis_per_rack * self.switches_per_chassis)
-        chassis = (self.datacenters * self.pods_per_datacenter * self.racks_per_pod
-                   * self.chassis_per_rack)
-        racks = self.datacenters * self.pods_per_datacenter * self.racks_per_pod
-        pods = self.datacenters * self.pods_per_datacenter
-        ports = switches * self.ports_per_switch
-        return 1 + self.datacenters + pods + racks + chassis + switches + ports + self.control_points
-
-    @property
-    def expected_edge_count(self) -> int:
-        switches = (self.datacenters * self.pods_per_datacenter * self.racks_per_pod
-                    * self.chassis_per_rack * self.switches_per_chassis)
-        containment = self.expected_node_count - 1 - self.control_points
-        return containment + switches + self.port_links
 
 
 def generate_malt_topology(config: Optional[MaltTopologyConfig] = None,
@@ -187,40 +169,3 @@ def paper_scale_topology(seed: int = 11) -> PropertyGraph:
     """
     return generate_malt_topology(MaltTopologyConfig(seed=seed))
 
-
-def containment_children(graph: PropertyGraph, parent: str,
-                         child_type: Optional[str] = None) -> List[str]:
-    """Entities directly contained by *parent* (optionally filtered by type)."""
-    children = []
-    for child in graph.successors(parent):
-        attrs = graph.edge_attributes(parent, child)
-        if attrs.get("relationship") != RelationshipKind.CONTAINS.value:
-            continue
-        if child_type is not None and graph.node_attributes(child).get("type") != child_type:
-            continue
-        children.append(child)
-    return children
-
-
-def containment_parent(graph: PropertyGraph, child: str) -> Optional[str]:
-    """The entity that contains *child*, if any."""
-    for parent in graph.predecessors(child):
-        attrs = graph.edge_attributes(parent, child)
-        if attrs.get("relationship") == RelationshipKind.CONTAINS.value:
-            return parent
-    return None
-
-
-def entities_of_type(graph: PropertyGraph, entity_type: str) -> List[str]:
-    """All node ids with the given entity ``type`` attribute."""
-    return [node_id for node_id, attrs in graph.nodes(data=True)
-            if attrs.get("type") == entity_type]
-
-
-def type_counts(graph: PropertyGraph) -> Dict[str, int]:
-    """Number of entities per entity kind."""
-    counts: Dict[str, int] = {}
-    for _, attrs in graph.nodes(data=True):
-        kind = attrs.get("type", "unknown")
-        counts[kind] = counts.get(kind, 0) + 1
-    return counts

@@ -71,16 +71,6 @@ RELATIONSHIP_DESCRIPTIONS: Dict[RelationshipKind, str] = {
 }
 
 
-def entity_kind_names() -> List[str]:
-    """All entity kind names, in declaration order."""
-    return [kind.value for kind in EntityKind]
-
-
-def relationship_kind_names() -> List[str]:
-    """All relationship kind names, in declaration order."""
-    return [kind.value for kind in RelationshipKind]
-
-
 def describe_schema() -> str:
     """Render the schema description block used in MALT prompts."""
     lines = ["MALT entity kinds:"]

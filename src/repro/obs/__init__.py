@@ -18,9 +18,9 @@ On top of the telemetry sits the analysis layer (``repro obs`` on the CLI):
   (``.repro-ledger/``) of metrics snapshots plus run metadata;
 * :mod:`repro.obs.analyze` — self-time attribution, critical-path
   extraction, and metrics-snapshot diffing under an explicit noise band;
-* :class:`ResourceSampler` / :func:`sample_now` — RSS and CPU readings as
-  max-merge gauges, taken per task in pool workers and periodically in the
-  parent.
+* :func:`sample_now` — RSS and CPU readings as max-merge gauges, taken
+  once per task in pool workers and once in the parent when a sweep
+  command finishes.
 
 The hard contract is **inertness**: observability state is excluded from
 task content digests and cache keys, serial and parallel sweeps stay
@@ -61,13 +61,7 @@ from repro.obs.metrics import (
     default_registry,
     set_default_registry,
 )
-from repro.obs.sample import (
-    ResourceSampler,
-    disable_sampling,
-    enable_sampling,
-    sample_now,
-    sampling_enabled,
-)
+from repro.obs.sample import sample_now
 from repro.obs.trace import (
     Span,
     Tracer,
@@ -138,7 +132,6 @@ __all__ = [
     "MetricsDiff",
     "MetricsRegistry",
     "ObservationCapture",
-    "ResourceSampler",
     "RunLedger",
     "Span",
     "TraceSpan",
@@ -147,15 +140,12 @@ __all__ = [
     "critical_path",
     "default_registry",
     "diff_metrics",
-    "disable_sampling",
     "disable_tracing",
-    "enable_sampling",
     "enable_tracing",
     "get_tracer",
     "ingest_observations",
     "metrics_document",
     "sample_now",
-    "sampling_enabled",
     "self_time_table",
     "set_default_registry",
     "set_tracer",

@@ -1,34 +1,29 @@
-"""The resource sampler: RSS and CPU time as max-merge gauges, stdlib only.
+"""Resource readings: RSS and CPU time as max-merge gauges, stdlib only.
 
 Latency histograms say where the time went; this module says what it cost
-in memory and CPU.  :func:`sample_now` takes one reading — peak RSS via
-:func:`resource.getrusage` (with a ``/proc/self/status`` fallback) and
-cumulative CPU seconds — and folds it into the default registry's gauges:
+in memory and CPU.  :func:`sample_now` takes one reading — peak RSS and
+cumulative CPU seconds via :func:`resource.getrusage` — and folds it into
+the default registry's gauges:
 
 * ``resource.max_rss_bytes`` — the process's peak resident set;
 * ``resource.cpu_seconds``   — user + system CPU consumed so far;
 * ``resource.samples``       — a counter of readings taken.
 
-Gauges merge by ``max`` (see :class:`repro.obs.metrics.Gauge`), so the
-readings compose across processes exactly like spans do: each pool worker
-samples into its isolated capture registry (one reading per task, flagged
-through the fabric's wire ``obs`` marker), the parent merges the snapshots,
-and the merged gauge answers "how large did the biggest process get".
-
-:class:`ResourceSampler` is the parent-side background thread: it samples
-every ``interval_s`` for the duration of a sweep so a memory ramp inside a
-long serial stage is caught too, not just its final value.  Sampling obeys
-the observability inertness contract — gauges are telemetry, excluded from
-digests, cache keys, and every rendered table.
+``ru_maxrss`` is already the kernel's high-water mark and CPU time only
+grows, so one reading at the end of a process's work sees everything a
+periodic one would.  Each pool worker takes one reading per task into its
+isolated capture registry, the sweep command takes one in the parent when
+it finishes, and because gauges merge by ``max`` (see
+:class:`repro.obs.metrics.Gauge`) the merged gauge answers "how large did
+the biggest process get".  Readings obey the observability inertness
+contract — gauges are telemetry, excluded from digests, cache keys, and
+every rendered table.
 """
 
 from __future__ import annotations
 
-import logging
-import os
 import sys
-import threading
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.obs.metrics import MetricsRegistry, default_registry
 
@@ -37,137 +32,25 @@ try:                                    # unix-only in CPython; gate for others
 except ImportError:                     # pragma: no cover - non-unix platform
     _resource = None
 
-logger = logging.getLogger(__name__)
-
-#: how often the background sampler reads, in seconds
-DEFAULT_SAMPLE_INTERVAL_S = 0.05
-
 GAUGE_MAX_RSS = "resource.max_rss_bytes"
 GAUGE_CPU_SECONDS = "resource.cpu_seconds"
 COUNTER_SAMPLES = "resource.samples"
 
-#: process-wide flag mirrored into the fabric's wire ``obs`` marker so pool
-#: workers know to take a per-task reading (cf. ``tracing_enabled``)
-_sampling_enabled = False
 
-
-def enable_sampling() -> None:
-    global _sampling_enabled  # noqa: PLW0603 - process-global toggle
-    _sampling_enabled = True
-
-
-def disable_sampling() -> None:
-    global _sampling_enabled  # noqa: PLW0603 - process-global toggle
-    _sampling_enabled = False
-
-
-def sampling_enabled() -> bool:
-    return _sampling_enabled
-
-
-# ---------------------------------------------------------------------------
-# readings
-# ---------------------------------------------------------------------------
-def _proc_rss_bytes() -> Optional[float]:
-    """Current RSS from ``/proc/self/status`` (Linux), ``None`` elsewhere."""
-    try:
-        with open("/proc/self/status", encoding="ascii", errors="replace") as handle:
-            for line in handle:
-                if line.startswith("VmRSS:"):
-                    return float(line.split()[1]) * 1024.0   # value is in kB
-    except OSError:
-        pass
-    return None
-
-
-def read_resources() -> Dict[str, float]:
-    """One reading: ``{"max_rss_bytes": ..., "cpu_seconds": ...}``.
-
-    Peak RSS comes from ``getrusage`` (``ru_maxrss`` is kilobytes on Linux,
-    bytes on macOS); where :mod:`resource` is unavailable the current RSS
-    from ``/proc`` stands in (an under-estimate of the peak, still useful
-    under max-merge).  Missing sources simply yield 0.0 — a reading never
-    raises.
-    """
-    rss = 0.0
-    cpu = 0.0
-    if _resource is not None:
-        usage = _resource.getrusage(_resource.RUSAGE_SELF)
-        scale = 1.0 if sys.platform == "darwin" else 1024.0
-        rss = float(usage.ru_maxrss) * scale
-        cpu = float(usage.ru_utime) + float(usage.ru_stime)
-    else:                               # pragma: no cover - non-unix platform
-        proc_rss = _proc_rss_bytes()
-        if proc_rss is not None:
-            rss = proc_rss
-        times = os.times()
-        cpu = float(times.user) + float(times.system)
-    return {"max_rss_bytes": rss, "cpu_seconds": cpu}
-
-
-def sample_now(registry: Optional[MetricsRegistry] = None) -> Dict[str, float]:
+def sample_now(registry: Optional[MetricsRegistry] = None) -> None:
     """Take one reading and fold it into *registry* (default: process default).
 
-    Gauges are updated through ``merge`` (keep-the-max), so repeated samples
-    ratchet upward and a late small reading cannot erase an earlier peak.
+    ``ru_maxrss`` is kilobytes on Linux, bytes on macOS; where
+    :mod:`resource` is unavailable both values read 0.0.  Gauges are updated
+    through ``merge`` (keep-the-max), so repeated samples ratchet upward and
+    a late small reading cannot erase an earlier peak.
     """
     registry = registry if registry is not None else default_registry()
-    reading = read_resources()
-    registry.gauge(GAUGE_MAX_RSS).merge(reading["max_rss_bytes"])
-    registry.gauge(GAUGE_CPU_SECONDS).merge(reading["cpu_seconds"])
+    rss = cpu = 0.0
+    if _resource is not None:
+        usage = _resource.getrusage(_resource.RUSAGE_SELF)
+        rss = float(usage.ru_maxrss) * (1.0 if sys.platform == "darwin" else 1024.0)
+        cpu = float(usage.ru_utime) + float(usage.ru_stime)
+    registry.gauge(GAUGE_MAX_RSS).merge(rss)
+    registry.gauge(GAUGE_CPU_SECONDS).merge(cpu)
     registry.counter(COUNTER_SAMPLES).inc()
-    return reading
-
-
-# ---------------------------------------------------------------------------
-# the background sampler thread
-# ---------------------------------------------------------------------------
-class ResourceSampler:
-    """Sample this process's resources periodically on a daemon thread.
-
-    Usable as a context manager; ``stop()`` always takes one final reading
-    so even a sweep shorter than the interval records its footprint.
-    """
-
-    def __init__(self, interval_s: float = DEFAULT_SAMPLE_INTERVAL_S,
-                 registry: Optional[MetricsRegistry] = None) -> None:
-        if interval_s <= 0:
-            raise ValueError(f"interval_s must be positive, got {interval_s}")
-        self.interval_s = interval_s
-        self._registry = registry
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def running(self) -> bool:
-        return self._thread is not None and self._thread.is_alive()
-
-    def _loop(self) -> None:
-        while not self._stop.wait(self.interval_s):
-            sample_now(self._registry)
-
-    def start(self) -> "ResourceSampler":
-        if self._thread is not None:
-            raise RuntimeError("sampler already started")
-        self._stop.clear()
-        sample_now(self._registry)      # a first reading before the wait
-        self._thread = threading.Thread(
-            target=self._loop, name="repro-obs-sampler", daemon=True)
-        self._thread.start()
-        logger.debug("resource sampler started (interval %.3fs)", self.interval_s)
-        return self
-
-    def stop(self) -> None:
-        if self._thread is None:
-            return
-        self._stop.set()
-        self._thread.join(timeout=5.0)
-        self._thread = None
-        sample_now(self._registry)      # the closing reading
-        logger.debug("resource sampler stopped")
-
-    def __enter__(self) -> "ResourceSampler":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()

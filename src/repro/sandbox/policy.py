@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import FrozenSet, List, Optional
 
 from repro.utils import DICT_MUTATORS
@@ -63,11 +63,6 @@ class SandboxPolicy:
     forbidden_attributes: FrozenSet[str] = DEFAULT_FORBIDDEN_ATTRIBUTES
     max_source_lines: int = 400
     max_seconds: float = 10.0
-
-    def with_extra_imports(self, *modules: str) -> "SandboxPolicy":
-        """Return a copy of the policy that also allows importing *modules*."""
-        return replace(self, allowed_imports=frozenset(self.allowed_imports)
-                       | set(modules))
 
 
 #: builtins whose second argument names an attribute of the first

@@ -67,7 +67,7 @@ from repro.scenarios.overlay import (
     scenario_graph,
     traffic_application_from_scenario,
 )
-from repro.scenarios.suite import ScenarioSuite, correlated_suite, default_suite
+from repro.scenarios.suite import ScenarioSuite, default_suite
 from repro.scenarios.corpus import (
     corpus_spec_paths,
     read_lockfile,
@@ -112,7 +112,6 @@ __all__ = [
     "scenario_graph",
     "traffic_application_from_scenario",
     "ScenarioSuite",
-    "correlated_suite",
     "default_suite",
     "corpus_spec_paths",
     "read_lockfile",

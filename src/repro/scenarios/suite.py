@@ -9,9 +9,8 @@ definition drives both the accuracy and the cost axes of an experiment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set
+from typing import List, Set
 
-from repro.scenarios.engine import ScenarioTimeline, replay_scenario
 from repro.scenarios.spec import ScenarioSpec
 from repro.utils.validation import require
 
@@ -37,11 +36,6 @@ class ScenarioSuite:
         """Distinct topology families covered by the suite, sorted."""
         return sorted({spec.family for spec in self.scenarios})
 
-    def replay_all(self) -> Dict[str, ScenarioTimeline]:
-        """Replay every scenario; scenario name -> timeline."""
-        self.validate()
-        return {spec.name: replay_scenario(spec) for spec in self.scenarios}
-
 
 def default_suite() -> ScenarioSuite:
     """The default multi-family sweep used by tests and the CLI.
@@ -64,19 +58,3 @@ def default_suite() -> ScenarioSuite:
     suite.validate()
     return suite
 
-
-def correlated_suite() -> ScenarioSuite:
-    """The correlated-dynamics sweep: SRLG cuts, maintenance windows, and
-    gravity traffic matrices, one scenario per new event kind."""
-    from repro.scenarios.registry import get_scenario
-
-    suite = ScenarioSuite(
-        name="correlated",
-        scenarios=[
-            get_scenario("wan-conduit-cut"),
-            get_scenario("fattree-maintenance"),
-            get_scenario("wan-gravity-hotspot"),
-        ],
-    )
-    suite.validate()
-    return suite

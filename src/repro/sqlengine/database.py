@@ -144,10 +144,6 @@ class Database:
         #: whether an INSERT, UPDATE or DELETE ran, even one that changed no row
         self.written = False
 
-    def create_table(self, name: str, columns: Sequence[str],
-                     rows: Optional[Iterable[Row]] = None) -> Table:
-        return self.add_table(Table(name, columns, rows))
-
     def add_table(self, table: Table) -> Table:
         """Register an already built *table* under its own name."""
         if table.name in self._tables:
@@ -155,20 +151,12 @@ class Database:
         self._tables[table.name] = table
         return table
 
-    def drop_table(self, name: str) -> None:
-        if name not in self._tables:
-            raise SqlExecutionError(f"cannot drop unknown table {name!r}")
-        del self._tables[name]
-
     def table(self, name: str) -> Table:
         if name not in self._tables:
             raise SqlExecutionError(
                 f"unknown table {name!r}; available tables: {sorted(self._tables)}"
             )
         return self._tables[name]
-
-    def has_table(self, name: str) -> bool:
-        return name in self._tables
 
     def table_names(self) -> List[str]:
         return sorted(self._tables)
@@ -184,14 +172,6 @@ class Database:
         from repro.sqlengine.executor import execute_sql  # local import avoids cycle
 
         return execute_sql(self, sql)
-
-    def schema_description(self) -> str:
-        """Human-readable schema summary used by the prompt generators."""
-        lines = []
-        for name in self.table_names():
-            table = self._tables[name]
-            lines.append(f"TABLE {name} ({', '.join(table.columns)}) -- {len(table)} rows")
-        return "\n".join(lines)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Database({self.name!r}, tables={self.table_names()})"

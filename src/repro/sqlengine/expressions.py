@@ -139,6 +139,8 @@ def _arithmetic(symbol: str, apply: Callable[[Any, Any], Any],
     context = f"operator {symbol}"
 
     def arithmetic(left: Any, right: Any) -> Any:
+        if left is None or right is None:      # NULL in, NULL out
+            return None
         left_num = _numeric(left, context)
         right_num = _numeric(right, context)
         if zero_error and right_num == 0:

@@ -23,7 +23,6 @@ from repro.synthesis.intents import (
     parse_query,
     KNOWN_INTENTS,
     TEMPORAL_INTENT_SIGNATURES,
-    temporal_intent_names,
 )
 from repro.synthesis.engine import (
     CodeSynthesisEngine,
@@ -40,7 +39,6 @@ __all__ = [
     "parse_query",
     "KNOWN_INTENTS",
     "TEMPORAL_INTENT_SIGNATURES",
-    "temporal_intent_names",
     "CodeSynthesisEngine",
     "UnsupportedQueryError",
     "GeneratedProgram",

@@ -41,10 +41,6 @@ class GeneratedProgram:
     backend: str
     intent: Intent
 
-    def as_markdown(self) -> str:
-        """Render as the fenced block a real LLM response would contain."""
-        return f"```{self.language}\n{self.code}\n```"
-
 
 class CodeSynthesisEngine:
     """Generate correct code (or direct answers) for supported intents.
@@ -115,11 +111,6 @@ class CodeSynthesisEngine:
         "networkx": networkx_emitter,
         "frames": frames_emitter,
     }
-
-    def supports_temporal(self, intent: Intent, backend: str) -> bool:
-        """Whether timeline-aware code can be produced for this intent."""
-        require_in(backend, TEMPORAL_CODE_BACKENDS, "backend")
-        return intent.name in self._TEMPORAL_EMITTERS[backend].TEMPORAL_TEMPLATES
 
     def generate_temporal(self, intent: Intent, backend: str) -> GeneratedProgram:
         """Produce a correct timeline-aware program for a temporal *intent*.

@@ -124,11 +124,6 @@ TEMPORAL_INTENT_SIGNATURES: Dict[str, Tuple[str, ...]] = {
 }
 
 
-def temporal_intent_names() -> List[str]:
-    """Every temporal intent name, sorted."""
-    return sorted(TEMPORAL_INTENT_SIGNATURES)
-
-
 def temporal_window(intent: Intent) -> Tuple[Any, Any]:
     """The (start, end) values an interval intent references, or ``None``.
 

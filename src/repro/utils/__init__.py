@@ -5,13 +5,12 @@ These helpers are deliberately dependency-free so that every other subsystem
 them without import cycles.
 """
 
-from repro.utils.hashing import stable_hash, stable_unit_interval
+from repro.utils.hashing import stable_hash
 from repro.utils.rng import DeterministicRng
-from repro.utils.tables import format_table, format_markdown_table
+from repro.utils.tables import format_table
 from repro.utils.validation import (
     ValidationError,
     require,
-    require_type,
     require_in,
     require_positive,
 )
@@ -25,12 +24,9 @@ __all__ = [
     "DICT_MUTATORS",
     "DeterministicRng",
     "stable_hash",
-    "stable_unit_interval",
     "format_table",
-    "format_markdown_table",
     "ValidationError",
     "require",
-    "require_type",
     "require_in",
     "require_positive",
 ]

@@ -45,19 +45,3 @@ def stable_hash(*parts: Any, bits: int = 64) -> int:
     digest = hasher.digest()
     value = int.from_bytes(digest, "big")
     return value % (1 << bits)
-
-
-def stable_unit_interval(*parts: Any) -> float:
-    """Map *parts* deterministically onto a float in ``[0, 1)``.
-
-    The mapping is uniform over the 53-bit mantissa range, which is plenty of
-    resolution for probability thresholding in the fault-injection model.
-    """
-    return stable_hash(*parts, bits=53) / float(1 << 53)
-
-
-def stable_choice_index(num_options: int, *parts: Any) -> int:
-    """Deterministically pick an index in ``range(num_options)`` from *parts*."""
-    if num_options <= 0:
-        raise ValueError("num_options must be positive")
-    return stable_hash(*parts) % num_options

@@ -1,4 +1,4 @@
-"""Plain-text and Markdown table rendering for benchmark reports.
+"""Plain-text table rendering for benchmark reports.
 
 The benchmark harness regenerates the paper's tables; these helpers render
 them in the same row/column layout as the paper so a reader can compare them
@@ -42,18 +42,6 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[Any]],
     lines.append(render_row(["-" * w for w in widths]))
     for row in str_rows:
         lines.append(render_row(row))
-    return "\n".join(lines)
-
-
-def format_markdown_table(headers: Sequence[str], rows: Iterable[Sequence[Any]],
-                          float_format: str = "{:.2f}") -> str:
-    """Render a GitHub-flavored Markdown table."""
-    str_headers = [str(h) for h in headers]
-    lines = ["| " + " | ".join(str_headers) + " |",
-             "|" + "|".join(["---"] * len(str_headers)) + "|"]
-    for row in rows:
-        cells = [_stringify(c, float_format) for c in row]
-        lines.append("| " + " | ".join(cells) + " |")
     return "\n".join(lines)
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Type
+from typing import Any, Iterable
 
 
 class ValidationError(ValueError):
@@ -13,14 +13,6 @@ def require(condition: bool, message: str) -> None:
     """Raise :class:`ValidationError` with *message* unless *condition* holds."""
     if not condition:
         raise ValidationError(message)
-
-
-def require_type(value: Any, expected: Type, name: str) -> None:
-    """Require that *value* is an instance of *expected*."""
-    if not isinstance(value, expected):
-        raise ValidationError(
-            f"{name} must be {expected.__name__}, got {type(value).__name__}"
-        )
 
 
 def require_in(value: Any, options: Iterable[Any], name: str) -> None:

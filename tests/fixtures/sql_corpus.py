@@ -324,8 +324,8 @@ def build_database():
                 name, {column: [row[i] for row in rows]
                        for i, column in enumerate(columns)}))
         else:
-            database.create_table(name, columns,
-                                  [dict(zip(columns, row)) for row in rows])
+            database.add_table(Table(name, columns,
+                                     [dict(zip(columns, row)) for row in rows]))
     return database
 
 

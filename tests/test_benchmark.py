@@ -17,7 +17,7 @@ from repro.benchmark import (
     query_by_id,
     traffic_queries,
 )
-from repro.benchmark.queries import bucket_size, queries_by_complexity
+from repro.benchmark.queries import bucket_size, queries_for
 from repro.benchmark.runner import MALT_BACKENDS, TRAFFIC_BACKENDS
 from repro.frames import DataFrame
 from repro.llm.calibration import DEFAULT_CALIBRATION
@@ -43,9 +43,10 @@ class TestQueryCorpus:
 
     def test_difficulty_ranks_are_a_permutation(self):
         for application in ("traffic_analysis", "malt"):
-            for complexity, queries in queries_by_complexity(application).items():
-                ranks = sorted(query.difficulty_rank for query in queries)
-                assert ranks == list(range(len(queries)))
+            for complexity in ("easy", "medium", "hard"):
+                ranks = sorted(query.difficulty_rank for query in queries_for(application)
+                               if query.complexity == complexity)
+                assert ranks == list(range(len(ranks)))
 
     def test_query_by_id(self):
         query = query_by_id("ta-m5")
@@ -282,7 +283,7 @@ class TestResultsLogger:
         logger.extend([self._record(True, cost=0.02), self._record(False, cost=0.03,
                                                                    stage="compare",
                                                                    reason="x")])
-        assert logger.total_cost() == pytest.approx(0.05)
+        assert sum(record.cost_usd for record in logger.filtered()) == pytest.approx(0.05)
         path = logger.save(tmp_path / "log.json")
         assert path.exists()
         assert "Benchmark results" in logger.render_summary()

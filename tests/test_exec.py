@@ -359,7 +359,3 @@ class TestRunReport:
         assert dumped["failed"] == 0
         assert len(dumped["results"]) == 4
         assert "squares" in report.summary()
-
-    def test_value_by_key(self):
-        report = run_tasks(square_tasks(3))
-        assert report.value_by_key() == {"sq/0": 0, "sq/1": 1, "sq/2": 4}

@@ -19,7 +19,6 @@ from repro.graph import (
     graph_from_dict,
     graph_from_json,
     graph_to_dict,
-    graph_to_edge_list,
     graph_to_json,
     graphs_equal,
     to_frames,
@@ -29,7 +28,6 @@ from repro.graph import (
 from repro.graph.convert import TrackedDict, WriteLog, from_frames, from_sql_database
 from repro.graph import diff as diff_module
 from repro.graph.diff import ABSENT, values_equal
-from repro.graph.stats import degree_histogram, top_nodes_by_weight
 from repro.synthesis.temporal import ReadOnlyDict
 from repro.utils import DICT_MUTATORS
 from repro.utils.validation import ValidationError
@@ -99,11 +97,6 @@ class TestPropertyGraphBasics:
     def test_neighbors_union(self):
         graph = build_sample()
         assert set(graph.neighbors("b")) == {"a", "c"}
-
-    def test_find_nodes_and_edges(self):
-        graph = build_sample()
-        assert graph.find_nodes(type="host") == ["a", "c"]
-        assert graph.find_edges(bytes=50) == [("b", "a")]
 
     def test_subgraph(self):
         graph = build_sample()
@@ -315,11 +308,6 @@ class TestSerialization:
         with pytest.raises(ValidationError):
             graph_from_dict({"nodes": [{}]})
 
-    def test_edge_list_projection(self):
-        records = graph_to_edge_list(build_sample(), weight_keys=["bytes"])
-        assert all(set(record) == {"source", "target", "bytes"} for record in records)
-        assert len(records) == 3
-
 
 class TestStats:
     def test_compute_stats(self):
@@ -329,16 +317,6 @@ class TestStats:
         assert stats.node_type_counts == {"host": 2, "router": 1}
         assert stats.edge_weight_totals["bytes"] == 160
         assert stats.isolated_nodes == 0
-
-    def test_degree_histogram(self):
-        histogram = degree_histogram(build_sample())
-        assert sum(histogram.values()) == 3
-
-    def test_top_nodes_by_weight(self):
-        top = top_nodes_by_weight(build_sample(), "bytes", k=1, direction="out")
-        assert top[0][0] == "a"
-        with pytest.raises(ValueError):
-            top_nodes_by_weight(build_sample(), "bytes", direction="sideways")
 
 
 class TestConversions:

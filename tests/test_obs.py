@@ -365,10 +365,9 @@ class TestInertness:
     def test_wire_obs_marker_rides_outside_the_payload(self):
         task = self._task()
         wire = ParallelExecutor._to_wire(task)
-        assert wire["obs"] == {"trace": False, "sample": False}
+        assert wire["obs"] == {"trace": False}
         enable_tracing()
-        assert ParallelExecutor._to_wire(task)["obs"] == {
-            "trace": True, "sample": False}
+        assert ParallelExecutor._to_wire(task)["obs"] == {"trace": True}
         # the marker never leaks into the digested fields
         assert wire["payload"] == task.payload
         assert task.digest() == self._task().digest()

@@ -7,27 +7,22 @@ histograms.
 The acceptance criteria of the layer live here too: an injected 5x p95
 slowdown must flag (nonzero exit) while two identical snapshots stay
 inside the noise band (exit 0), and serial vs ``--jobs 2`` results stay
-byte-identical with the ledger and the sampler enabled."""
+byte-identical with the ledger on and resource readings taken."""
 
 import json
+import threading
 from pathlib import Path
 
 import pytest
 
-from repro.benchmark import BenchmarkConfig, BenchmarkRunner
 from repro.cli.main import main
-from repro.exec import ExecutorPolicy
 from repro.obs import (
     MetricsRegistry,
-    ResourceSampler,
     RunLedger,
     Tracer,
     default_registry,
     diff_metrics,
-    disable_sampling,
-    enable_sampling,
     sample_now,
-    sampling_enabled,
     self_time_table,
     set_default_registry,
     set_tracer,
@@ -43,13 +38,12 @@ from repro.utils.validation import ValidationError
 
 @pytest.fixture(autouse=True)
 def fresh_observability():
-    """Isolate every test behind fresh tracer/registry/sampling globals."""
+    """Isolate every test behind a fresh tracer and registry."""
     previous_tracer = set_tracer(Tracer())
     previous_registry = set_default_registry(MetricsRegistry())
     try:
         yield
     finally:
-        disable_sampling()
         set_tracer(previous_tracer)
         set_default_registry(previous_registry)
 
@@ -288,53 +282,32 @@ class TestResourceSampling:
         registry.gauge(GAUGE_MAX_RSS).merge(peak / 2)
         assert registry.gauge(GAUGE_MAX_RSS).value == peak
 
-    def test_sampler_start_stop_takes_bracketing_readings(self):
-        registry = MetricsRegistry()
-        sampler = ResourceSampler(interval_s=60.0, registry=registry)
-        with sampler:
-            assert sampler.running
-            assert registry.counter(COUNTER_SAMPLES).value == 1
-        assert not sampler.running
-        # the interval never elapsed, so exactly start + stop readings
-        assert registry.counter(COUNTER_SAMPLES).value == 2
-        assert registry.gauge(GAUGE_MAX_RSS).value > 0
+    def test_one_reading_per_pool_task_and_one_in_the_parent(
+            self, tmp_path, capsys, monkeypatch):
+        started = []
+        start = threading.Thread.start
 
-    def test_sampler_rejects_nonpositive_interval_and_double_start(self):
-        with pytest.raises(ValueError):
-            ResourceSampler(interval_s=0)
-        sampler = ResourceSampler(registry=MetricsRegistry())
-        try:
-            sampler.start()
-            with pytest.raises(RuntimeError):
-                sampler.start()
-        finally:
-            sampler.stop()
+        def recording_start(thread):
+            started.append(thread.name)
+            start(thread)
 
-    def test_sampling_flag_round_trip(self):
-        assert not sampling_enabled()
-        enable_sampling()
-        assert sampling_enabled()
-        disable_sampling()
-        assert not sampling_enabled()
-
-    def test_workers_sample_when_enabled_and_results_stay_identical(self):
-        enable_sampling()
-        parallel = BenchmarkRunner(BenchmarkConfig(),
-                                   policy=ExecutorPolicy.processes(jobs=2))
-        report_parallel = parallel.run_temporal_suite(
-            scenarios=["fat-tree-failover"], models=["gpt-4"])
-        snapshot = default_registry().snapshot()
-        # worker readings merged through the wire obs marker
-        assert snapshot["gauges"][GAUGE_MAX_RSS] > 0
-        assert snapshot["counters"][COUNTER_SAMPLES] >= 1
-        disable_sampling()
-        serial = BenchmarkRunner(BenchmarkConfig())
-        report_serial = serial.run_temporal_suite(
-            scenarios=["fat-tree-failover"], models=["gpt-4"])
-        # sampling on (parallel) vs off (serial): results byte-identical
-        assert json.dumps(report_parallel.logger.to_records(), sort_keys=True) \
-            == json.dumps(report_serial.logger.to_records(), sort_keys=True)
-        assert report_parallel.render_summary() == report_serial.render_summary()
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        sweep = ["benchmark", "--application", "traffic", "--models", "gpt-4",
+                 "--no-cache", "--no-ledger"]
+        metrics_path = tmp_path / "metrics.json"
+        assert main(sweep + ["--jobs", "2", "--executor", "processes",
+                             "--metrics-out", str(metrics_path)]) == 0
+        parallel = capsys.readouterr().out
+        document = json.loads(metrics_path.read_text(encoding="utf-8"))
+        assert document["gauges"][GAUGE_MAX_RSS] > 0
+        assert document["gauges"][GAUGE_CPU_SECONDS] > 0
+        # every task ran in the pool; the parent adds its closing reading
+        pool_tasks = document["histograms"]["span.exec.task.seconds"]["count"]
+        assert pool_tasks > 0
+        assert document["counters"][COUNTER_SAMPLES] >= pool_tasks + 1
+        assert "repro-obs-sampler" not in started
+        assert main(sweep) == 0
+        assert capsys.readouterr().out == parallel
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +416,8 @@ class TestObsCli:
 
     def test_serial_vs_jobs2_output_identical_with_ledger_and_sampler(
             self, tmp_path, capsys):
-        """Acceptance: ledger + sampler on, serial and --jobs 2 byte-identical."""
+        """Acceptance: ledger on and resources read, serial and --jobs 2
+        byte-identical."""
         outputs = []
         for jobs, label in (("1", "serial"), ("2", "parallel")):
             assert main(["cost", "--sizes", "40", "--jobs", jobs,

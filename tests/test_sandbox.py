@@ -11,6 +11,7 @@ from repro.sandbox import (
     SandboxPolicy,
     validate_source,
 )
+from repro.sandbox.policy import DEFAULT_ALLOWED_IMPORTS
 
 
 class TestPolicy:
@@ -102,7 +103,7 @@ class TestPolicy:
         assert "eval" in visitor.violations[1].message
 
     def test_with_extra_imports(self):
-        policy = SandboxPolicy().with_extra_imports("scipy")
+        policy = SandboxPolicy(allowed_imports=DEFAULT_ALLOWED_IMPORTS | {"scipy"})
         validate_source("import scipy", policy)
         with pytest.raises(PolicyViolation):
             validate_source("import scipy")
@@ -282,7 +283,8 @@ class TestCodeCache:
                 assert first.traceback_text == second.traceback_text
             assert len(calls) == 3
             # a different policy is a different verdict
-            relaxed = ExecutionSandbox(SandboxPolicy().with_extra_imports("os"))
+            relaxed = ExecutionSandbox(
+                SandboxPolicy(allowed_imports=DEFAULT_ALLOWED_IMPORTS | {"os"}))
             assert relaxed.execute("import os", {}, cache_code=True).success
             assert len(calls) == 4
         finally:

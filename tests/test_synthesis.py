@@ -208,10 +208,9 @@ class TestEmitterCorrectness:
         with pytest.raises(UnsupportedQueryError):
             ENGINE.generate("Translate this network to French", "networkx")
 
-    def test_generated_program_markdown(self):
+    def test_generated_sql_program_language(self):
         program = ENGINE.generate(Intent.create("count_nodes"), "sql")
         assert program.language == "sql"
-        assert program.as_markdown().startswith("```sql")
 
 
 class TestStrawmanAnswers:

@@ -131,7 +131,7 @@ class TestTemporalEmitters:
         engine = CodeSynthesisEngine()
         for backend in TEMPORAL_CODE_BACKENDS:
             for query in temporal_queries():
-                assert engine.supports_temporal(query.intent, backend)
+                engine.generate_temporal(query.intent, backend)
 
     def test_unsupported_temporal_intent_raises(self):
         from repro.synthesis import Intent, UnsupportedQueryError

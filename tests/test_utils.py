@@ -6,16 +6,12 @@ from hypothesis import given, strategies as st
 from repro.utils import (
     DeterministicRng,
     ValidationError,
-    format_markdown_table,
     format_table,
     require,
     require_in,
     require_positive,
-    require_type,
     stable_hash,
-    stable_unit_interval,
 )
-from repro.utils.hashing import stable_choice_index
 from repro.utils.tables import format_cdf
 
 
@@ -31,21 +27,6 @@ class TestStableHash:
 
     def test_respects_bit_width(self):
         assert stable_hash("x", bits=8) < 256
-
-    def test_unit_interval_in_range(self):
-        value = stable_unit_interval("anything", 42)
-        assert 0.0 <= value < 1.0
-
-    def test_choice_index_in_range(self):
-        assert 0 <= stable_choice_index(5, "seed") < 5
-
-    def test_choice_index_rejects_empty(self):
-        with pytest.raises(ValueError):
-            stable_choice_index(0, "seed")
-
-    @given(st.text(), st.text())
-    def test_unit_interval_always_valid(self, a, b):
-        assert 0.0 <= stable_unit_interval(a, b) < 1.0
 
 
 class TestDeterministicRng:
@@ -112,13 +93,6 @@ class TestTables:
         rendered = format_table(["x"], [[1]], title="My Table")
         assert rendered.splitlines()[0] == "My Table"
 
-    def test_markdown_table_shape(self):
-        rendered = format_markdown_table(["a", "b"], [[1, 2.5]])
-        lines = rendered.splitlines()
-        assert lines[0] == "| a | b |"
-        assert lines[1] == "|---|---|"
-        assert "2.50" in lines[2]
-
     def test_format_cdf_empty(self):
         assert format_cdf([]) == []
 
@@ -137,11 +111,6 @@ class TestValidation:
     def test_require_raises(self):
         with pytest.raises(ValidationError, match="boom"):
             require(False, "boom")
-
-    def test_require_type(self):
-        require_type(3, int, "count")
-        with pytest.raises(ValidationError):
-            require_type("3", int, "count")
 
     def test_require_in(self):
         require_in("a", ["a", "b"], "letter")
