@@ -4,18 +4,20 @@ Not a paper artifact: this bench tracks what one *warm* temporal answer
 costs, the way ``repro serve`` answers it (serial in-process
 ``repro.api.answer_queries``, worker contexts kept across calls), on the
 ``direct`` backend and both codegen backends, split into the stages of the
-answer path.  Every stage is reported per request (its total time over the
-run divided by the number of requests), not per call:
+answer path, read from the ``span.<name>.seconds`` histograms of
+``repro.obs`` as the change of their ``sum`` over the timed loop.  Every
+stage is reported per request (its total time over the run divided by the
+number of requests), not per call:
 
-* ``request`` — everything ``answer_queries`` does before its tasks run:
-  scenario lookup, query resolution, task build, and the task-set
-  validation ``run_tasks`` starts with;
-* ``namespace`` — ``repro.synthesis.temporal.timeline_namespace``;
-* ``validate_compile`` — ``validate_source`` plus ``compile`` as the sandbox
-  calls them (only cache misses reach them on a tree that caches code);
-* ``exec`` — ``ExecutionSandbox.execute`` minus the two calls above;
-* ``evaluate`` — ``ResultsEvaluator.evaluate_temporal``;
-* ``total`` — the whole ``answer_queries`` call.
+* ``request`` — everything outside the cell worker: the whole call minus
+  ``exec.task`` (scenario lookup, query resolution, task build, dispatch);
+* ``namespace`` — ``temporal.namespace`` (``timeline_namespace``);
+* ``validate_compile`` — ``sandbox.validate`` plus ``sandbox.compile``
+  (only cache misses reach them on a tree that caches code);
+* ``exec`` — ``sandbox.exec``: the sandbox from the moment it holds a code
+  object to the returned outcome;
+* ``evaluate`` — ``benchmark.evaluate`` (``evaluate_temporal``);
+* ``total`` — the whole ``answer_queries`` call, on the bench's own clock.
 
 It also records the namespace cost curve on the ``fat-tree-failover``
 timeline for fat-tree ``k`` = 4..24: the per-request ``timeline_namespace``
@@ -29,14 +31,15 @@ To compare two checkouts on one host, run the script once per checkout::
     PYTHONPATH=<other-checkout>/src python benchmarks/bench_warm_path.py --label before
     PYTHONPATH=src python benchmarks/bench_warm_path.py --label after
 
-``python -m pytest benchmarks/bench_warm_path.py`` runs a short smoke
-version and stores it under the ``smoke`` label.
+A checkout whose answer path has no stage spans cannot be the ``before``
+side: its stages would read zero.  ``python -m pytest
+benchmarks/bench_warm_path.py`` runs a short smoke version and stores it
+under the ``smoke`` label.
 """
 
 from __future__ import annotations
 
 import argparse
-import builtins
 import dataclasses
 import json
 import os
@@ -44,7 +47,7 @@ import platform
 import statistics
 import sys
 import time
-from collections import defaultdict
+from collections import Counter
 from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Sequence
@@ -63,73 +66,22 @@ FAT_TREE_KS = (4, 8, 12, 16, 20, 24)
 ROUNDS = 20
 #: timed repeats per namespace-curve point
 REPEATS = 7
-STAGES = ("request", "namespace", "validate_compile", "exec", "evaluate", "total")
 
 
-class StageTimer:
-    """Accumulates wall time per stage by wrapping each stage's function
-    where its caller looks it up; :meth:`remove` restores every attribute."""
+def span_totals() -> Counter:
+    """Per span name, its seconds so far in this process, and its calls
+    under ``<name>.calls``, read from the default metrics registry; the
+    difference of two readings is what ran between them."""
+    from repro.obs import default_registry
+    from repro.obs.trace import SPAN_HISTOGRAM_PREFIX
 
-    def __init__(self) -> None:
-        self.seconds: Dict[str, float] = defaultdict(float)
-        self._patches: List[tuple] = []
-        #: ``perf_counter`` at the start of the current ``answer_queries``
-        #: call, set by the caller; ``run_tasks`` closes the request stage
-        self.call_started = 0.0
-
-    def _wrap(self, owner: Any, attribute: str, stage: str,
-              original: Callable) -> None:
-        seconds = self.seconds
-
-        def timed(*args, **kwargs):
-            start = time.perf_counter()
-            try:
-                return original(*args, **kwargs)
-            finally:
-                seconds[stage] += time.perf_counter() - start
-
-        self._patches.append((owner, attribute, vars(owner).get(attribute)))
-        setattr(owner, attribute, timed)
-
-    def _end_request_stage(self, owner: Any, attribute: str) -> None:
-        original = getattr(owner, attribute)
-
-        def entered(*args, **kwargs):
-            self.seconds["request"] += time.perf_counter() - self.call_started
-            return original(*args, **kwargs)
-
-        self._patches.append((owner, attribute, vars(owner).get(attribute)))
-        setattr(owner, attribute, entered)
-
-    def install(self) -> "StageTimer":
-        from repro import api
-        from repro.benchmark import evaluator
-        from repro.exec.task import TaskSet
-        from repro.sandbox import executor
-        from repro.synthesis import temporal
-
-        self._end_request_stage(api, "run_tasks")
-        self._wrap(TaskSet, "validate", "request", TaskSet.validate)
-
-        self._wrap(temporal, "timeline_namespace", "namespace",
-                   temporal.timeline_namespace)
-        self._wrap(executor, "validate_source", "validate_compile",
-                   executor.validate_source)
-        # shadows the builtin for the sandbox module only
-        self._wrap(executor, "compile", "validate_compile", builtins.compile)
-        self._wrap(executor.ExecutionSandbox, "execute", "execute",
-                   executor.ExecutionSandbox.execute)
-        self._wrap(evaluator.ResultsEvaluator, "evaluate_temporal", "evaluate",
-                   evaluator.ResultsEvaluator.evaluate_temporal)
-        return self
-
-    def remove(self) -> None:
-        while self._patches:
-            owner, attribute, original = self._patches.pop()
-            if original is None:
-                delattr(owner, attribute)
-            else:
-                setattr(owner, attribute, original)
+    totals: Counter = Counter()
+    for name, histogram in default_registry().snapshot()["histograms"].items():
+        if name.startswith(SPAN_HISTOGRAM_PREFIX):
+            stage = name[len(SPAN_HISTOGRAM_PREFIX):-len(".seconds")]
+            totals[stage] = histogram["sum"]
+            totals[stage + ".calls"] = histogram["count"]
+    return totals
 
 
 def host_record() -> Dict[str, Any]:
@@ -161,23 +113,25 @@ def warm_stage_costs(rounds: int) -> Dict[str, Dict[str, float]]:
         try:
             for request in requests:  # warm-up: build every context once
                 answer_queries([request], policy=policy)
-            timer = StageTimer().install()
-            try:
-                for _ in range(rounds):
-                    for request in requests:
-                        start = timer.call_started = time.perf_counter()
-                        answer_queries([request], policy=policy)
-                        timer.seconds["total"] += time.perf_counter() - start
-            finally:
-                timer.remove()
+            before = span_totals()
+            total = 0.0
+            for _ in range(rounds):
+                for request in requests:
+                    start = time.perf_counter()
+                    answer_queries([request], policy=policy)
+                    total += time.perf_counter() - start
+            spent = span_totals() - before
         finally:
             clear_worker_contexts()
         queries = rounds * len(requests)
-        seconds = dict(timer.seconds)
-        seconds["exec"] = (seconds.pop("execute", 0.0)
-                           - seconds.get("validate_compile", 0.0))
-        costs[backend] = {stage: round(1000.0 * seconds.get(stage, 0.0) / queries, 4)
-                          for stage in STAGES}
+        seconds = {"request": total - spent["exec.task"],
+                   "namespace": spent["temporal.namespace"],
+                   "validate_compile": spent["sandbox.validate"] + spent["sandbox.compile"],
+                   "exec": spent["sandbox.exec"],
+                   "evaluate": spent["benchmark.evaluate"],
+                   "total": total}
+        costs[backend] = {stage: round(1000.0 * value / queries, 4)
+                          for stage, value in seconds.items()}
         costs[backend]["queries"] = queries
     return costs
 

@@ -15,8 +15,10 @@ This checker enforces both shapes so the CI smoke run catches an export
 regression (a renamed field, a string timestamp, a lane without a name)
 before anyone tries to load the file in a viewer.  Span coverage is
 asserted with ``--expect PREFIX``: the trace must contain at least one X
-event whose name starts with the prefix, which is how CI pins "synthesis,
-sandbox, and fabric spans all made it into the merged trace".
+event whose name is the prefix or continues it after a dot (``synthesis.``
+matches ``synthesis.emit``; ``sandbox.exec`` does not match
+``sandbox.execute``), which is how CI pins "synthesis, sandbox, and fabric
+spans all made it into the merged trace".
 
 The span-parsing pieces (:data:`X_EVENT_FIELDS`,
 :func:`metadata_process_name`) are imported from
@@ -95,7 +97,8 @@ def validate_trace(document: Any, expect: List[str] = ()) -> List[str]:
     for pid in sorted(pid for pid in span_pids if pid not in named_pids):
         problems.append(f"process lane pid={pid} has no process_name metadata")
     for prefix in expect:
-        if not any(isinstance(name, str) and name.startswith(prefix)
+        dotted = prefix.rstrip(".") + "."
+        if not any(isinstance(name, str) and (name == prefix or name.startswith(dotted))
                    for name in span_names):
             problems.append(f"no span named {prefix}* in the trace "
                             f"(have: {', '.join(sorted(set(span_names))) or 'none'})")

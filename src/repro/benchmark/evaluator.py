@@ -28,6 +28,7 @@ from repro.core.pipeline import PipelineResult
 from repro.frames import DataFrame, Series
 from repro.graph import PropertyGraph, diff_graphs
 from repro.graph.diff import values_equal
+from repro.obs import span
 from repro.sqlengine import ResultSet
 
 
@@ -195,7 +196,8 @@ class ResultsEvaluator:
             record.failure_reason = "the query requires a state change but no graph was produced"
             return record
         if actual_graph is not None:
-            diff = diff_graphs(expected_graph, actual_graph, self.float_tolerance)
+            with span("graph.diff"):
+                diff = diff_graphs(expected_graph, actual_graph, self.float_tolerance)
             if not diff.is_empty:
                 record.failure_stage = "compare"
                 record.failure_reason = f"graphs are not identical: {diff.summary()}"

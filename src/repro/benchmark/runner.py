@@ -381,7 +381,8 @@ class BenchmarkRunner:
                                    attempt=attempt, feedback=feedback)
             pipeline_result = pipeline.run(request)
             with span("benchmark.evaluate", attrs={"query": query.query_id}):
-                golden = self.goldens.golden_for(query, application.graph)
+                with span("benchmark.golden", attrs={"query": query.query_id}):
+                    golden = self.goldens.golden_for(query, application.graph)
                 record = self.evaluator.evaluate(query, model, pipeline_result, golden,
                                                  application.graph)
             # the record keeps normalized copies of the result, so a plain
@@ -432,32 +433,6 @@ class BenchmarkRunner:
     # ------------------------------------------------------------------
     # scenario sweeps
     # ------------------------------------------------------------------
-    def run_scenario(self, spec, models: Optional[Sequence[str]] = None,
-                     backends: Sequence[str] = ("networkx",),
-                     queries: Optional[Sequence[BenchmarkQuery]] = None) -> AccuracyReport:
-        """Run the query corpus against one scenario's replayed network state.
-
-        The scenario (a :class:`repro.scenarios.ScenarioSpec` or a registered
-        scenario name) is replayed through the event engine; the resulting
-        graph becomes the application under test.  MALT-family scenarios run
-        the MALT corpus, every other family runs the traffic corpus over the
-        traffic-annotated graph.
-        """
-        from repro.scenarios.overlay import resolve_spec
-
-        spec = resolve_spec(spec)
-        models = list(models or self.config.models)
-        if queries is None:
-            queries = queries_for("malt" if spec.family == "malt" else "traffic_analysis")
-        report = AccuracyReport(application=f"scenario:{spec.name}",
-                                backends=list(backends), models=models)
-        task_set = TaskSet(name=f"benchmark/scenario/{spec.name}",
-                           profile=self._task_profile())
-        self._add_scenario_tasks(task_set, spec, backends, queries, models)
-        for record in self._dispatch(task_set):
-            report.logger.log(record)
-        return report
-
     def _add_scenario_tasks(self, task_set: TaskSet, spec, backends, queries,
                             models) -> int:
         """Append one task per (backend, query, model) cell of one scenario."""

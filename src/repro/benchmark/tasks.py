@@ -146,6 +146,43 @@ def _corrupt(value: Any) -> Any:
     return None
 
 
+def _binds_time(query) -> bool:
+    """True when the query's intent has a bound time parameter."""
+    from repro.benchmark.queries import TIME_PARAMS
+
+    return any(key in TIME_PARAMS and value is not None
+               for key, value in query.intent.params)
+
+
+def _misanchored_answers(timeline, query, golden_value: Any):
+    """Lazily, each ``(shift, intent, answer)`` of the query with every time
+    shifted 1, 2, ... snapshots earlier whose answer is not the golden."""
+    from repro.llm.faults import TemporalFaultInjector
+    from repro.synthesis.reference import evaluate_temporal_reference
+
+    times = timeline.times()
+    injector = TemporalFaultInjector()
+    for shift in range(1, len(times)):
+        intent = injector.misanchored_intent(query.intent, times, shift)
+        value = evaluate_temporal_reference(timeline, intent).value
+        if value != golden_value:
+            yield shift, intent, value
+
+
+def _window_cut_answers(timeline, query, golden_value: Any):
+    """Lazily, each ``(cut, answer)`` of the query over the timeline without
+    its 1, 2, ... newest snapshots whose answer is not the golden."""
+    from repro.scenarios.engine import ScenarioTimeline
+    from repro.synthesis.reference import evaluate_temporal_reference
+
+    for cut in range(1, len(timeline.snapshots)):
+        stale = ScenarioTimeline(scenario_name=timeline.scenario_name,
+                                 snapshots=timeline.snapshots[:-cut])
+        value = evaluate_temporal_reference(stale, query.intent).value
+        if value != golden_value:
+            yield cut, value
+
+
 def _stale_answer(timeline, query, golden_value: Any) -> Any:
     """The answer a failing model produces: a stale/mis-anchored replay.
 
@@ -158,29 +195,10 @@ def _stale_answer(timeline, query, golden_value: Any) -> Any:
     corrupting the golden value as a last resort; every step is
     deterministic, so serial and parallel sweeps stay byte-identical.
     """
-    from repro.benchmark.queries import TIME_PARAMS
-    from repro.llm.faults import TemporalFaultInjector
-    from repro.scenarios.engine import ScenarioTimeline
-    from repro.synthesis.reference import evaluate_temporal_reference
-
-    times = timeline.times()
-    time_keys = [key for key, value in query.intent.params
-                 if key in TIME_PARAMS and value is not None]
-    if time_keys:
-        injector = TemporalFaultInjector()
-        for shift in range(1, len(times)):
-            intent = injector.misanchored_intent(query.intent, times, shift)
-            value = evaluate_temporal_reference(timeline, intent).value
-            if value != golden_value:
-                return value
-    else:
-        for cut in range(1, len(timeline.snapshots)):
-            stale = ScenarioTimeline(scenario_name=timeline.scenario_name,
-                                     snapshots=timeline.snapshots[:-cut])
-            value = evaluate_temporal_reference(stale, query.intent).value
-            if value != golden_value:
-                return value
-    return _corrupt(golden_value)
+    wrong = (_misanchored_answers if _binds_time(query)
+             else _window_cut_answers)(timeline, query, golden_value)
+    first = next(wrong, None)
+    return _corrupt(golden_value) if first is None else first[-1]
 
 
 def _faulty_temporal_program(timeline, query, backend: str, golden_value: Any,
@@ -195,10 +213,7 @@ def _faulty_temporal_program(timeline, query, backend: str, golden_value: Any,
     and falling back to a crashing program — which always fails — when no
     data fault can surface a difference.
     """
-    from repro.benchmark.queries import TIME_PARAMS
     from repro.llm.faults import TemporalFaultInjector, TemporalFaultType
-    from repro.scenarios.engine import ScenarioTimeline
-    from repro.synthesis.reference import evaluate_temporal_reference
 
     injector = TemporalFaultInjector()
     attempts = {
@@ -210,26 +225,18 @@ def _faulty_temporal_program(timeline, query, backend: str, golden_value: Any,
             TemporalFaultType.MISANCHORED_SNAPSHOT.value),
         TemporalFaultType.RUNTIME_CRASH.value: (),
     }[preferred]
-    times = timeline.times()
-    time_keys = [key for key, value in query.intent.params
-                 if key in TIME_PARAMS and value is not None]
     for fault in attempts:
-        if fault == TemporalFaultType.MISANCHORED_SNAPSHOT.value and time_keys:
+        if fault == TemporalFaultType.MISANCHORED_SNAPSHOT.value and _binds_time(query):
             # wrong snapshot anchoring: shift every referenced time earlier
-            for shift in range(1, len(times)):
-                intent = injector.misanchored_intent(query.intent, times, shift)
-                if evaluate_temporal_reference(timeline, intent).value != golden_value:
-                    code = engine.generate_temporal(intent, backend).code
-                    return code, f"misanchored_snapshot(shift={shift})"
+            for shift, intent, _ in _misanchored_answers(timeline, query, golden_value):
+                code = engine.generate_temporal(intent, backend).code
+                return code, f"misanchored_snapshot(shift={shift})"
         elif fault == TemporalFaultType.OFF_BY_ONE_WINDOW.value:
             # reason over a delta window missing its newest snapshots
-            for cut in range(1, len(timeline.snapshots)):
-                stale = ScenarioTimeline(scenario_name=timeline.scenario_name,
-                                         snapshots=timeline.snapshots[:-cut])
-                if evaluate_temporal_reference(stale, query.intent).value != golden_value:
-                    code = (injector.truncation_prelude(cut)
-                            + engine.generate_temporal(query.intent, backend).code)
-                    return code, f"off_by_one_window(cut={cut})"
+            for cut, _ in _window_cut_answers(timeline, query, golden_value):
+                code = (injector.truncation_prelude(cut)
+                        + engine.generate_temporal(query.intent, backend).code)
+                return code, f"off_by_one_window(cut={cut})"
     return injector.crash_code(), TemporalFaultType.RUNTIME_CRASH.value
 
 

@@ -34,6 +34,7 @@ from repro.graph.convert import (
     WriteLog,
 )
 from repro.graph.model import _scalars_only
+from repro.obs import span
 from repro.sqlengine import Database
 
 # sql_view builds on the memoized frames and never calls to_sql_database; it
@@ -173,8 +174,12 @@ class NetworkApplication(abc.ABC):
 
     def _frames(self):
         """The read-only ``(node_frame, edge_frame)`` of the current graph."""
-        return self._memoized("frames", lambda: tuple(
-            frame.freeze() for frame in to_frames(self._graph)))
+        def build():
+            with span("graph.to_frames"):
+                frames = to_frames(self._graph)
+            return tuple(frame.freeze() for frame in frames)
+
+        return self._memoized("frames", build)
 
     def networkx_view(self):
         """The state as a ``networkx`` graph (NetworkX backend input): the
@@ -187,7 +192,8 @@ class NetworkApplication(abc.ABC):
             view = entries.pop(_IDLE_VIEW, None)
         if view is None:
             log = WriteLog()
-            view = to_networkx(self._graph, log=log)
+            with span("graph.to_networkx"):
+                view = to_networkx(self._graph, log=log)
             if not log.deep:
                 with _VIEW_LOCK:
                     entries.setdefault(_VIEWS, WeakKeyDictionary())[view] = (_head(view), log)
@@ -290,7 +296,8 @@ class NetworkApplication(abc.ABC):
         return self._memoized("summary", self._build_summary)
 
     def _build_summary(self) -> str:
-        stats = compute_stats(self._graph)
+        with span("graph.compute_stats"):
+            stats = compute_stats(self._graph)
         return (f"The graph has {stats.node_count} nodes and {stats.edge_count} edges; "
                 f"node attributes: {', '.join(stats.node_attribute_keys) or 'none'}; "
                 f"edge attributes: {', '.join(stats.edge_attribute_keys) or 'none'}.")

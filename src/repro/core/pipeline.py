@@ -18,6 +18,7 @@ from repro.core.codeblocks import extract_python_code, extract_sql_code
 from repro.core.prompts import PromptBundle, build_prompt
 from repro.graph import PropertyGraph
 from repro.llm.base import LlmProvider, LlmRequest, LlmResponse, TokenLimitExceeded
+from repro.obs import span
 from repro.sandbox import ExecutionOutcome, ExecutionSandbox
 from repro.sqlengine import SqlError
 from repro.utils.validation import require_in
@@ -108,8 +109,9 @@ class NetworkManagementPipeline:
         metadata.setdefault("query", request.query)
         metadata.setdefault("application", self.application.name)
 
-        result.prompt = build_prompt(self.application, request.query, self.backend,
-                                     extra_metadata=metadata)
+        with span("prompt.build"):
+            result.prompt = build_prompt(self.application, request.query, self.backend,
+                                         extra_metadata=metadata)
         llm_request = LlmRequest(prompt=result.prompt.text, metadata=result.prompt.metadata,
                                  attempt=request.attempt, feedback=request.feedback)
         try:
@@ -152,12 +154,13 @@ class NetworkManagementPipeline:
 
     # ------------------------------------------------------------------
     def _execute_python(self, result: PipelineResult) -> None:
-        if self.backend == "networkx":
-            result.view = self.application.networkx_view()
-            namespace: Dict[str, Any] = {"G": result.view}
-        else:
-            nodes_df, edges_df = self.application.frame_view()
-            namespace = {"nodes_df": nodes_df, "edges_df": edges_df}
+        with span("graph.view"):
+            if self.backend == "networkx":
+                result.view = self.application.networkx_view()
+                namespace: Dict[str, Any] = {"G": result.view}
+            else:
+                nodes_df, edges_df = self.application.frame_view()
+                namespace = {"nodes_df": nodes_df, "edges_df": edges_df}
 
         outcome = self.sandbox.execute(result.code, namespace, cache_code=self.cache_code)
         result.execution = outcome
@@ -166,11 +169,12 @@ class NetworkManagementPipeline:
             result.error_message = outcome.describe_error()
             return
         try:
-            if self.backend == "networkx":
-                updated = self.application.read_networkx_view(outcome.namespace["G"])
-            else:
-                updated = self.application.read_frame_view(
-                    outcome.namespace["nodes_df"], outcome.namespace["edges_df"])
+            with span("graph.round_trip"):
+                if self.backend == "networkx":
+                    updated = self.application.read_networkx_view(outcome.namespace["G"])
+                else:
+                    updated = self.application.read_frame_view(
+                        outcome.namespace["nodes_df"], outcome.namespace["edges_df"])
         except Exception as exc:  # noqa: BLE001 - a program can leave anything behind
             # a program that rebinds or breaks its view fails like one that raises
             _fail_execute(result, exc, replace(outcome, success=False))
@@ -179,20 +183,23 @@ class NetworkManagementPipeline:
         result.updated_graph = updated
 
     def _execute_sql(self, result: PipelineResult) -> None:
-        database = self.application.sql_view()
+        with span("graph.view"):
+            database = self.application.sql_view()
         statements = [stmt.strip() for stmt in result.code.split(";") if stmt.strip()]
         last_result = None
         try:
-            for statement in statements:
-                returned = database.execute(statement)
-                if returned is not None:
-                    last_result = returned
+            with span("sql.execute"):
+                for statement in statements:
+                    returned = database.execute(statement)
+                    if returned is not None:
+                        last_result = returned
         except SqlError as exc:
             _fail_execute(result, exc, ExecutionOutcome(success=False))
             return
         result.execution = ExecutionOutcome(success=True, result=last_result)
         result.result_value = last_result
-        result.updated_graph = self.application.read_sql_view(database)
+        with span("graph.round_trip"):
+            result.updated_graph = self.application.read_sql_view(database)
 
     def _interpret_strawman(self, result: PipelineResult) -> None:
         """Parse the strawman's direct answer (JSON value and/or graph)."""

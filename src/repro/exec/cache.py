@@ -75,10 +75,9 @@ class ResultCache:
         try:
             with open(path, "rb") as handle:
                 # entries are two stacked pickles: a tiny store-sequence
-                # header, then the entry dict (legacy single-pickle entries
-                # surface the dict first and are still readable)
-                first = pickle.load(handle)
-                entry = first if isinstance(first, dict) else pickle.load(handle)
+                # header, then the entry dict
+                pickle.load(handle)
+                entry = pickle.load(handle)
         except (OSError, pickle.PickleError, EOFError, AttributeError, ImportError):
             # missing, torn, or unreadable entries — including entries whose
             # result class has since moved or been renamed — are all misses
@@ -162,14 +161,12 @@ class ResultCache:
 
         def stored_sequence(path: Path) -> Tuple[int, int]:
             try:
-                # new-format entries stop after the tiny header pickle; a
-                # legacy single-pickle entry deserializes fully here (a
-                # one-time cost that disappears as entries are re-stored)
+                # only the tiny header pickle is read
                 with open(path, "rb") as handle:
                     header = pickle.load(handle)
                 if isinstance(header, (tuple, list)) and len(header) == 2:
                     return tuple(header)
-                return (0, 0)  # legacy single-pickle entry: oldest in its group
+                return (0, 0)  # not a store-sequence header: oldest in its group
             except (OSError, pickle.PickleError, EOFError, AttributeError,
                     ImportError):
                 return (0, 0)  # unreadable: oldest within its tie group

@@ -89,15 +89,14 @@ class ThreadExecutor:
     the output list is in input order, byte-identical to a serial run.
     """
 
-    def __init__(self, jobs: int = 2, chunk_size: Optional[int] = None) -> None:
+    def __init__(self, jobs: int = 2) -> None:
         require(jobs >= 1, "jobs must be at least 1")
         self.jobs = jobs
-        self.chunk_size = chunk_size
 
     def execute(self, tasks: Sequence[Task]) -> List[Dict[str, Any]]:
         if not tasks:
             return []
-        chunks = shard_tasks(tasks, self.jobs, self.chunk_size)
+        chunks = shard_tasks(tasks, self.jobs)
         by_key: Dict[str, Dict[str, Any]] = {}
         with ThreadPoolExecutor(max_workers=self.jobs) as pool:
             futures = [pool.submit(run_chunk, [task.to_wire() for task in chunk])
@@ -116,15 +115,13 @@ class ParallelExecutor:
     Parameters
     ----------
     jobs:
-        Number of worker processes.
-    chunk_size:
-        Tasks per pool submission (default: auto, ~4 chunks per worker).
+        Number of worker processes; tasks go in about 4 chunks per worker
+        (:func:`shard_tasks`).
     """
 
-    def __init__(self, jobs: int = 2, chunk_size: Optional[int] = None) -> None:
+    def __init__(self, jobs: int = 2) -> None:
         require(jobs >= 1, "jobs must be at least 1")
         self.jobs = jobs
-        self.chunk_size = chunk_size
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -144,7 +141,7 @@ class ParallelExecutor:
     def execute(self, tasks: Sequence[Task]) -> List[Dict[str, Any]]:
         if not tasks:
             return []
-        chunks = shard_tasks(tasks, self.jobs, self.chunk_size)
+        chunks = shard_tasks(tasks, self.jobs)
         by_key: Dict[str, Dict[str, Any]] = {}
         suspects: List[Task] = []
         pool = ProcessPoolExecutor(max_workers=self.jobs)

@@ -56,8 +56,6 @@ class ExecutorPolicy:
     mode: str = "auto"
     #: worker count; 1 always means the in-process serial executor
     jobs: int = 1
-    #: tasks per pool submission (None = auto, ~4 chunks per worker)
-    chunk_size: Optional[int] = None
     #: ``None`` (no caching), a directory path, or a live :class:`ResultCache`
     cache: Union[None, str, ResultCache] = None
     #: keep :func:`~repro.exec.workers.worker_context` memos alive after an
@@ -69,9 +67,6 @@ class ExecutorPolicy:
     def validate(self) -> None:
         require_in(self.mode, EXECUTOR_MODES, "executor mode")
         require(self.jobs >= 1, f"jobs must be at least 1, got {self.jobs}")
-        if self.chunk_size is not None:
-            require(self.chunk_size >= 1,
-                    f"chunk_size must be at least 1, got {self.chunk_size}")
 
     # ------------------------------------------------------------------
     def resolve_mode(self, task_set: TaskSet,
@@ -108,8 +103,8 @@ class ExecutorPolicy:
         if mode == "serial":
             return SerialExecutor()
         if mode == "threads":
-            return ThreadExecutor(jobs=self.jobs, chunk_size=self.chunk_size)
-        return ParallelExecutor(jobs=self.jobs, chunk_size=self.chunk_size)
+            return ThreadExecutor(jobs=self.jobs)
+        return ParallelExecutor(jobs=self.jobs)
 
     # ------------------------------------------------------------------
     # constructors

@@ -82,8 +82,10 @@ def _checked_code(source: str, policy: SandboxPolicy,
     with _AST_LOCK:
         try:
             if validate:
-                validate_source(source, policy)
-            return compile(source, "<generated-code>", "exec")
+                with span("sandbox.validate"):
+                    validate_source(source, policy)
+            with span("sandbox.compile"):
+                return compile(source, "<generated-code>", "exec")
         except (SyntaxError, PolicyViolation) as exc:
             # cached and reported many times: keep no frames alive
             return exc.with_traceback(None)
@@ -191,7 +193,12 @@ class ExecutionSandbox:
             compiled = _checked_code(source, policy, validate)
         if not isinstance(compiled, CodeType):
             return self._failure(compiled, stdout_buffer, exec_globals, start)
+        with span("sandbox.exec"):
+            return self._run_code(compiled, exec_globals, stdout_buffer, start)
 
+    def _run_code(self, compiled: CodeType, exec_globals: Dict[str, Any],
+                  stdout_buffer: io.StringIO, start: float) -> ExecutionOutcome:
+        """Run *compiled* on a helper thread within the time budget."""
         error_holder: Dict[str, BaseException] = {}
 
         def _run() -> None:

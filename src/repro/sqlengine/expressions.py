@@ -215,10 +215,16 @@ def _compile_unary(symbol: str, operand: Compiled) -> Compiled:
     or from a group alike)."""
     if symbol == "NOT":
         return lambda row: _not(operand(row))
-    if symbol == "-":
-        return lambda row: -_numeric(operand(row), "unary minus")
-    if symbol == "+":
-        return lambda row: _numeric(operand(row), "unary plus")
+    if symbol in ("-", "+"):
+        apply, context = ((operator.neg, "unary minus") if symbol == "-"
+                          else (operator.pos, "unary plus"))
+
+        def signed(row: Any) -> Any:
+            value = operand(row)
+            if value is None:                  # NULL in, NULL out
+                return None
+            return apply(_numeric(value, context))
+        return signed
 
     def unknown(row: Any) -> Any:
         operand(row)

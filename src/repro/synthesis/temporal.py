@@ -71,6 +71,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple, Union
 
+from repro.obs import span
 from repro.sandbox import ExecutionOutcome, ExecutionSandbox
 from repro.synthesis.engine import TEMPORAL_CODE_BACKENDS
 from repro.utils import DICT_MUTATORS
@@ -243,5 +244,6 @@ def run_temporal_program(code: str, timeline: TimelineSource, backend: str,
     :meth:`~repro.sandbox.executor.ExecutionSandbox.execute`.
     """
     sandbox = sandbox or ExecutionSandbox()
-    return sandbox.execute(code, timeline_namespace(timeline, backend),
-                           cache_code=cache_code)
+    with span("temporal.namespace"):
+        namespace = timeline_namespace(timeline, backend)
+    return sandbox.execute(code, namespace, cache_code=cache_code)

@@ -118,13 +118,13 @@ class TestEquivalence:
     def test_values_identical_across_executors(self):
         task_set = square_tasks(10, group_of=lambda index: f"g{index % 2}")
         serial = run_tasks(task_set, executor=SerialExecutor())
-        parallel = run_tasks(task_set, executor=ParallelExecutor(jobs=3, chunk_size=2))
+        parallel = run_tasks(task_set, executor=ParallelExecutor(jobs=3))
         assert serial.values() == parallel.values() == [i * i for i in range(10)]
 
     def test_results_come_back_in_task_order(self):
         task_set = square_tasks(9)
         report = run_tasks(task_set,
-                           policy=ExecutorPolicy.processes(jobs=3, chunk_size=1))
+                           policy=ExecutorPolicy.processes(jobs=3))
         assert [result.key for result in report.results] == task_set.keys()
 
     def test_jobs_one_uses_serial_path(self):
@@ -313,7 +313,7 @@ class TestFailures:
             Task(key="good", fn="repro.exec.demo:square", payload={"x": 2}),
         ])
         report = run_tasks(task_set,
-                           policy=ExecutorPolicy.processes(jobs=2, chunk_size=1))
+                           policy=ExecutorPolicy.processes(jobs=2))
         assert not report.ok
         assert "kapow" in report.results[0].error
         assert report.results[1].ok and report.results[1].value == 4
@@ -330,7 +330,7 @@ class TestFailures:
             Task(key="ok-2", fn="repro.exec.demo:square", payload={"x": 6}, group="c"),
         ])
         report = run_tasks(task_set,
-                           policy=ExecutorPolicy.processes(jobs=2, chunk_size=1))
+                           policy=ExecutorPolicy.processes(jobs=2))
         by_key = {result.key: result for result in report.results}
         assert not by_key["crash"].ok
         assert "crashed" in by_key["crash"].error

@@ -81,8 +81,6 @@ class TestModeResolution:
             ExecutorPolicy(mode="gpu").validate()
         with pytest.raises(ValidationError):
             ExecutorPolicy(jobs=0).validate()
-        with pytest.raises(ValidationError):
-            ExecutorPolicy(chunk_size=0).validate()
 
     def test_profile_is_advisory_not_digest_material(self):
         # the same task under differently-profiled sets digests identically:

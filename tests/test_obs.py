@@ -324,6 +324,8 @@ class TestExporters:
         ]}, "metrics": {}})
         document = trace_document()
         assert validate_trace(document, expect=["alpha", "gamma"]) == []
+        # a prefix matches a whole name or a dotted continuation of it
+        assert validate_trace(document, expect=["alph"]) != []
         # worker spans land in their own named process lane
         events = document["traceEvents"]
         lanes = {event["args"]["name"]: event["pid"] for event in events

@@ -477,7 +477,8 @@ class TestIntegrations:
 
     def test_benchmark_runner_malt_scenario(self):
         runner = BenchmarkRunner(BenchmarkConfig())
-        report = runner.run_scenario("malt-chassis-drain", models=["gpt-4"])
+        suite = ScenarioSuite(name="malt", scenarios=[get_scenario("malt-chassis-drain")])
+        report = runner.run_scenario_suite(suite, models=["gpt-4"])["malt-chassis-drain"]
         records = report.logger.filtered(model="gpt-4")
         assert records
         # a MALT-family scenario runs the MALT corpus, not the traffic one

@@ -213,6 +213,14 @@ class TestSelectExecution:
         assert database.execute("SELECT 1 / NULL, NULL % 0, NULL * 'a'").rows == [
             {"column_0": None, "column_1": None, "column_2": None}]
 
+    def test_unary_minus_and_plus_of_null_are_null(self):
+        database = Database("nulls")
+        database.add_table(Table.from_columns("t", {"id": [1, 2], "x": [5, None]}))
+        assert database.execute("SELECT -x AS m, +x AS p FROM t ORDER BY id").to_records() == [
+            {"m": -5, "p": 5}, {"m": None, "p": None}]
+        assert database.execute("SELECT -NULL, +NULL").rows == [
+            {"column_0": None, "column_1": None}]
+
     def test_any_output_name_keeps_its_values(self):
         database = Database("names")
         database.add_table(Table.from_columns("t", {"id": [1, 2]}))
