@@ -42,7 +42,6 @@ from repro.benchmark.runner import BenchmarkConfig
 from repro.benchmark.tasks import run_benchmark_cell, run_temporal_cell
 from repro.exec import (
     ExecutorPolicy,
-    PROFILE_LATENCY,
     Task,
     TaskSet,
     run_tasks,
@@ -327,9 +326,8 @@ def answer_queries(requests: Sequence[QuerySpec],
     """Answer a batch of requests as one fabric task set.
 
     Duplicate requests collapse to one cell (every copy receives the same
-    answer), the task set is profiled latency-bound — answer cells model
-    the provider round trip — and results come back in request order
-    whatever executor the *policy* resolves to.  A cell whose worker
+    answer), and results come back in request order whatever executor the
+    *policy* resolves to.  A cell whose worker
     raised fails the batch with :class:`~repro.exec.TaskExecutionError`
     naming the cell and its error.
     """
@@ -337,7 +335,7 @@ def answer_queries(requests: Sequence[QuerySpec],
     config = config or BenchmarkConfig()
     config_payload = config.to_payload()
 
-    task_set = TaskSet(name="api/answers", profile=PROFILE_LATENCY)
+    task_set = TaskSet(name="api/answers")
     keys: List[str] = []
     resolved_by_key: Dict[str, Any] = {}
     for request in requests:

@@ -27,8 +27,6 @@ from repro.core.application import NetworkApplication
 from repro.core.pipeline import NetworkManagementPipeline, QueryRequest
 from repro.exec import (
     ExecutorPolicy,
-    PROFILE_CPU,
-    PROFILE_LATENCY,
     RunReport,
     TaskSet,
     run_tasks,
@@ -71,11 +69,6 @@ class BenchmarkConfig:
     malt_config: Optional[MaltTopologyConfig] = None
     seed: int = 7
     calibration: Optional[CalibrationTable] = None
-    #: per-cell provider round-trip model (seconds).  The simulated LLMs
-    #: answer instantly; real hosted models spend most of a cell's wall time
-    #: on the network.  A non-zero value restores that latency-bound profile
-    #: (used by the parallel-speedup benchmark); accuracy is unaffected.
-    simulated_api_latency_s: float = 0.0
 
     def traffic_application(self) -> TrafficAnalysisApplication:
         return TrafficAnalysisApplication(config=CommunicationGraphConfig(
@@ -107,7 +100,6 @@ class BenchmarkConfig:
             "malt_config": asdict(self.malt_config) if self.malt_config else None,
             "seed": self.seed,
             "calibration": self.calibration.to_dict() if self.calibration else None,
-            "simulated_api_latency_s": self.simulated_api_latency_s,
         }
 
     @classmethod
@@ -130,7 +122,6 @@ class BenchmarkConfig:
             malt_config=malt_config,
             seed=payload["seed"],
             calibration=calibration,
-            simulated_api_latency_s=payload.get("simulated_api_latency_s", 0.0),
         )
 
 
@@ -341,13 +332,6 @@ class BenchmarkRunner:
         self.last_run_report: Optional[RunReport] = None
 
     # ------------------------------------------------------------------
-    def _task_profile(self) -> str:
-        """Static benchmark cells wait out the simulated provider round trip
-        when one is configured — that makes the set latency-bound (threads
-        under ``auto``); with instant providers the sandbox dominates."""
-        return (PROFILE_LATENCY if self.config.simulated_api_latency_s > 0
-                else PROFILE_CPU)
-
     def _dispatch(self, task_set: TaskSet) -> List[EvaluationRecord]:
         """Run a task set through the fabric; cell failures raise loudly."""
         with span("benchmark.dispatch", attrs={"task_set": task_set.name,
@@ -405,8 +389,7 @@ class BenchmarkRunner:
         with span("benchmark.suite", attrs={"application": application_name,
                                             "models": len(models)}):
             config_payload = self.config.to_payload()
-            task_set = TaskSet(name=f"benchmark/{application_name}",
-                               profile=self._task_profile())
+            task_set = TaskSet(name=f"benchmark/{application_name}")
             for backend in backends:
                 # the paper only runs the strawman's shrunken graph on traffic
                 # analysis; a MALT strawman sweep keeps the full MALT state
@@ -466,8 +449,7 @@ class BenchmarkRunner:
         suite.validate()
         models = list(models or self.config.models)
 
-        task_set = TaskSet(name=f"benchmark/suite/{suite.name}",
-                           profile=self._task_profile())
+        task_set = TaskSet(name=f"benchmark/suite/{suite.name}")
         reports: Dict[str, AccuracyReport] = {}
         owners: List[str] = []
         for spec in suite.scenarios:

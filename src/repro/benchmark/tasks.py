@@ -16,7 +16,6 @@ lets results be cached by content digest.
 
 from __future__ import annotations
 
-import time
 from typing import Any, Dict
 
 from repro.benchmark.queries import query_by_id, temporal_query_by_id
@@ -349,9 +348,6 @@ def run_benchmark_cell(payload: Dict[str, Any]):
     """Worker: run one cell and return its :class:`EvaluationRecord`."""
     from repro.benchmark.runner import BenchmarkConfig, BenchmarkRunner
 
-    latency = payload["config"].get("simulated_api_latency_s") or 0.0
-    if latency:
-        time.sleep(latency)  # model the hosted provider's round trip
     context_key = ("benchmark-application",
                    stable_hash(payload["config"], payload["app"]))
     application = worker_context(

@@ -89,9 +89,9 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
                        help="workers for the sweep (default 1 = serial; "
                             "results are byte-identical at any job count)")
     group.add_argument("--executor", choices=EXECUTOR_MODES, default="auto",
-                       help="executor mode at --jobs > 1: 'auto' picks threads "
-                            "for latency-bound task sets and processes for "
-                            "CPU-bound ones (default auto)")
+                       help="executor mode at --jobs > 1: 'auto' picks processes "
+                            "when the host has more than one core and runs "
+                            "serially otherwise (default auto)")
     group.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR, metavar="DIR",
                        help="content-keyed result cache directory "
                             f"(default {DEFAULT_CACHE_DIR})")
@@ -327,11 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=4, metavar="N",
                        help="concurrent answer threads (default 4; clients "
                             "beyond this queue, they do not fail)")
-    serve.add_argument("--executor", choices=EXECUTOR_MODES, default="auto",
-                       help="fabric executor mode for batch requests "
-                            "(default auto)")
-    serve.add_argument("--jobs", type=int, default=2, metavar="N",
-                       help="fabric workers inside one batch request (default 2)")
     serve.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="content-keyed result cache directory "
                             "(default: no caching; answers are recomputed "
@@ -519,10 +514,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import ReproService, ServiceConfig
 
     require(args.workers >= 1, f"--workers must be at least 1, got {args.workers}")
-    require(args.jobs >= 1, f"--jobs must be at least 1, got {args.jobs}")
     service = ReproService(ServiceConfig(
         host=args.host, port=args.port, model=args.model, workers=args.workers,
-        executor=args.executor, jobs=args.jobs, cache=args.cache_dir))
+        cache=args.cache_dir))
 
     async def _run() -> None:
         await service.start()

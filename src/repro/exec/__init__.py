@@ -8,10 +8,9 @@ exploits that purity:
 * a :class:`Task` names one cell with a stable key and describes it as data
   (worker dotted path + JSON payload);
 * :func:`run_tasks` dispatches a :class:`TaskSet` under an
-  :class:`ExecutorPolicy` — ``serial`` in-process, ``threads`` for
-  latency-bound cells, ``processes`` for cpu-bound cells, or ``auto``,
-  which resolves per task set from its declared workload profile and the
-  host's core count;
+  :class:`ExecutorPolicy` — ``serial`` in-process, a ``threads`` or
+  ``processes`` pool, or ``auto``, which runs a multi-task set in processes
+  when the host has a spare core and serially otherwise;
 * a content-keyed :class:`ResultCache` skips cells whose digest (fabric
   version + key + worker + canonical payload) already has a stored result;
 * the :class:`RunReport` carries per-task timing/telemetry and returns
@@ -28,8 +27,7 @@ from repro.exec.executors import (ParallelExecutor, SerialExecutor,
                                   ThreadExecutor, shard_tasks)
 from repro.exec.policy import EXECUTOR_MODES, ExecutorPolicy
 from repro.exec.report import RunReport, TaskExecutionError, TaskResult
-from repro.exec.task import (FABRIC_VERSION, PROFILE_CPU, PROFILE_LATENCY,
-                             TASK_PROFILES, Task, TaskSet)
+from repro.exec.task import FABRIC_VERSION, Task, TaskSet
 from repro.exec.workers import clear_worker_contexts, resolve_worker, worker_context
 
 __all__ = [
@@ -37,13 +35,10 @@ __all__ = [
     "EXECUTOR_MODES",
     "ExecutorPolicy",
     "FABRIC_VERSION",
-    "PROFILE_CPU",
-    "PROFILE_LATENCY",
     "ParallelExecutor",
     "ResultCache",
     "RunReport",
     "SerialExecutor",
-    "TASK_PROFILES",
     "Task",
     "TaskExecutionError",
     "TaskResult",

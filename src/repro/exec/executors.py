@@ -7,8 +7,8 @@ process pool) surface as per-task errors.
 
 :class:`SerialExecutor` runs everything in-process and is the reference
 implementation the determinism tests compare against.
-:class:`ThreadExecutor` overlaps latency-bound cells on an in-process thread
-pool — no pickling, no pool spin-up, shared worker contexts.
+:class:`ThreadExecutor` runs cells on an in-process thread pool — no
+pickling, no pool spin-up, shared worker contexts.
 :class:`ParallelExecutor` fans chunks of tasks out over a process pool for
 cpu-bound work.  Because workers are pure functions of their payloads,
 completion order is irrelevant and every reordered output is byte-identical
@@ -73,13 +73,11 @@ class SerialExecutor:
 class ThreadExecutor:
     """Run task chunks on an in-process thread pool.
 
-    The executor of choice for **latency-bound** task sets: cells that spend
-    their time waiting (provider round trips, simulated API latency) overlap
-    under the GIL without paying the process pool's serialization and
-    spin-up costs, and they share the parent's caches and worker contexts
-    directly.  For cpu-bound cells the GIL serializes the work, so a thread
-    pool degenerates to (slightly slower) serial execution — the executor
-    policy steers those to processes instead.
+    Cells share the parent's caches and worker contexts directly and pay
+    no serialization or pool spin-up.  Every cell in this repository is
+    cpu-bound, so the GIL serializes the work and a thread pool runs as a
+    (slightly slower) serial execution; ``auto`` never picks it, and it
+    stays selectable as one of the determinism contract's mechanisms.
 
     Tasks run in this process, so — exactly like :class:`SerialExecutor` —
     spans and metrics land directly in the parent's tracer and registry and

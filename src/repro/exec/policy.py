@@ -1,27 +1,25 @@
 """Executor selection: how a task set decides *where* its cells run.
 
-`benchmarks/results/parallel_speedup.json` records the fact this module
-encodes: on a 1-core host the process pool *loses* on cpu-bound work
-(0.85x at 2 workers — serialization and pool spin-up with no spare core to
-hide them) while winning ~3.5x on latency-bound work, where workers spend
-their time waiting on a provider round trip.  So "how parallel" (``jobs``)
-and "which mechanism" (serial / threads / processes) are different
-decisions, and the right mechanism depends on the *task set*, not on the
-caller:
+Every cell in this repository is local computation — the simulated LLMs
+answer instantly, and generated code runs in the in-process sandbox — so
+the only way a pool can win is with real cores to spread the work over.
+`benchmarks/results/parallel_speedup.json` records what a process pool
+costs: serialization and pool spin-up, which a short sweep cannot earn
+back even with a second core.  So "how parallel" (``jobs``) and "which
+mechanism" (serial / threads / processes) are different decisions:
 
-* latency-bound cells (provider round trips, network waits) overlap
-  perfectly under threads — no pickling, no pool spin-up, shared caches;
-* cpu-bound cells (sandbox runs, graph replays) need real cores, which in
-  CPython means processes — but only when the host actually has spare
-  cores;
+* cpu-bound cells need real cores, which in CPython means processes — but
+  only when the host actually has spare cores;
+* threads buy nothing for cpu-bound cells under the GIL; they stay
+  selectable for callers that want shared in-process caches;
 * a single task never benefits from any pool.
 
 :class:`ExecutorPolicy` is the value object that carries the whole
 decision — mode, worker count, chunking, caching, context retention — and
-resolves it per :class:`~repro.exec.task.TaskSet` via the set's declared
-:attr:`~repro.exec.task.TaskSet.profile`.  It replaces the ad-hoc
-``jobs``/``cache_dir``/``no_cache`` kwarg threading that the runner, the
-cost analyzer, and the CLI used to push through every layer.
+resolves it per :class:`~repro.exec.task.TaskSet` from the set's size and
+the host's core count.  It replaces the ad-hoc ``jobs``/``cache_dir``/
+``no_cache`` kwarg threading that the runner, the cost analyzer, and the
+CLI used to push through every layer.
 
 Whatever the policy picks, the fabric's determinism contract holds: the
 three mechanisms produce byte-identical reports for the same task set.
@@ -35,7 +33,7 @@ from typing import Optional, Union
 
 from repro.exec.cache import ResultCache
 from repro.exec.executors import ParallelExecutor, SerialExecutor, ThreadExecutor
-from repro.exec.task import PROFILE_LATENCY, TaskSet
+from repro.exec.task import TaskSet
 from repro.utils.validation import require, require_in
 
 #: the selectable dispatch mechanisms; ``auto`` resolves per task set
@@ -47,7 +45,7 @@ class ExecutorPolicy:
     """How (and where) a sweep owner wants its task sets executed.
 
     ``mode`` names the dispatch mechanism; ``auto`` defers the choice to
-    :meth:`resolve_mode`, which inspects the task set's profile and the
+    :meth:`resolve_mode`, which inspects the task set's size and the
     host's core count.  The policy is immutable and JSON-free on purpose:
     it never travels inside task payloads, so the choice of executor can
     never perturb digests, cache keys, or results.
@@ -75,14 +73,11 @@ class ExecutorPolicy:
 
         Fixed modes resolve to themselves (``jobs=1`` always collapses to
         serial — there is no 1-worker pool worth paying for).  ``auto``
-        chooses from the task set's profile:
-
-        * ``latency`` → threads: waiting overlaps without pickling costs;
-        * ``cpu`` → processes, but only when the host has more than one
-          core (*cpu_count* overrides :func:`os.cpu_count` for tests) —
-          a 1-core host runs cpu-bound work serially, which the committed
-          speedup baseline shows is strictly faster than a pool;
-        * a task set of one never leaves the calling process.
+        runs a task set of one serially — it never leaves the calling
+        process — and any larger set in processes when the host has more
+        than one core (*cpu_count* overrides :func:`os.cpu_count` for
+        tests); a 1-core host runs it serially, since no spare core can
+        hide the pool's cost.
         """
         self.validate()
         if self.jobs <= 1 or self.mode == "serial":
@@ -91,8 +86,6 @@ class ExecutorPolicy:
             return self.mode
         if len(task_set) <= 1:
             return "serial"
-        if task_set.profile == PROFILE_LATENCY:
-            return "threads"
         cores = cpu_count if cpu_count is not None else (os.cpu_count() or 1)
         return "processes" if cores > 1 else "serial"
 

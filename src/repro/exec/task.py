@@ -29,17 +29,6 @@ from repro.utils.validation import require
 #: representation or the worker contract changes incompatibly)
 FABRIC_VERSION = 1
 
-#: cells dominated by waiting (provider round trips, simulated API latency);
-#: threads overlap the waits with no pickling or pool spin-up cost
-PROFILE_LATENCY = "latency"
-#: cells dominated by computation (sandbox runs, graph replays); real
-#: parallelism needs processes — and spare cores to be worth the overhead
-PROFILE_CPU = "cpu"
-
-#: the workload profiles a task set may declare; the ``auto`` executor
-#: policy resolves its mechanism from this hint
-TASK_PROFILES = (PROFILE_CPU, PROFILE_LATENCY)
-
 
 def canonical_payload(payload: Any) -> str:
     """Canonical JSON text of a task payload (sorted keys, stable scalars).
@@ -96,20 +85,17 @@ class Task:
 
 @dataclass
 class TaskSet:
-    """An ordered, uniquely-keyed collection of tasks swept as one unit."""
+    """An ordered, uniquely-keyed collection of tasks swept as one unit.
+
+    A set carries no workload hint: the :class:`~repro.exec.ExecutorPolicy`
+    picks its mechanism from the set's size and the host's core count.
+    """
 
     name: str
     tasks: List[Task] = field(default_factory=list)
-    #: workload hint for executor selection (:data:`TASK_PROFILES`); purely
-    #: advisory — it never participates in task digests or cache keys, so
-    #: changing a profile can never invalidate cached results
-    profile: str = PROFILE_CPU
 
     def validate(self) -> None:
         require(bool(self.name), "task set name must be non-empty")
-        require(self.profile in TASK_PROFILES,
-                f"task set profile must be one of {list(TASK_PROFILES)!r}, "
-                f"got {self.profile!r}")
         seen = set()
         for task in self.tasks:
             task.validate()

@@ -7,7 +7,7 @@ import io
 import threading
 import time
 import traceback
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from types import CodeType
 from typing import Any, Dict, Optional, Union
 
@@ -89,10 +89,6 @@ def _checked_code(source: str, policy: SandboxPolicy,
         except (SyntaxError, PolicyViolation) as exc:
             # cached and reported many times: keep no frames alive
             return exc.with_traceback(None)
-
-
-def _policy_key(policy: SandboxPolicy) -> tuple:
-    return tuple(getattr(policy, spec.name) for spec in fields(policy))
 
 
 @dataclass
@@ -187,7 +183,7 @@ class ExecutionSandbox:
         if cache_code:
             # the verdict depends only on (source, validate, policy)
             compiled = worker_context(
-                ("sandbox-code", source, validate, _policy_key(policy)),
+                ("sandbox-code", source, validate, policy),
                 lambda: _checked_code(source, policy, validate))
         else:
             compiled = _checked_code(source, policy, validate)

@@ -54,9 +54,13 @@ DEFAULT_FORBIDDEN_ATTRIBUTES: FrozenSet[str] = frozenset({
 })
 
 
-@dataclass
+@dataclass(frozen=True)
 class SandboxPolicy:
-    """Configurable limits applied to generated code."""
+    """Configurable limits applied to generated code.
+
+    Frozen, so a policy is a value: the sandbox's code cache keys compiled
+    programs on the policy object itself.
+    """
 
     allowed_imports: FrozenSet[str] = DEFAULT_ALLOWED_IMPORTS
     forbidden_calls: FrozenSet[str] = DEFAULT_FORBIDDEN_CALLS

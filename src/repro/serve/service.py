@@ -6,10 +6,11 @@ benchmark workers) the batch CLI uses, so serving changes *when* answers
 are computed, never *what* they are.
 
 Architecture: an :mod:`asyncio` accept loop parses requests and routes
-them; answer work (synthesis → sandbox → evaluate) is synchronous and
-CPU/latency-mixed, so it is pushed onto a bounded thread pool while the
-event loop keeps accepting clients.  The fabric policy the answer threads
-dispatch under keeps worker contexts alive (``keep_contexts=True``):
+them; answer work (synthesis → sandbox → evaluate) is synchronous, so it
+is pushed onto a bounded thread pool while the event loop keeps accepting
+clients.  The fabric policy the answer threads dispatch under runs each
+batch serially on its thread and keeps worker contexts alive
+(``keep_contexts=True``):
 replayed scenarios, rebuilt applications, and golden selectors are memoized
 once per process and shared — concurrently and safely, because
 :func:`repro.exec.workers.worker_context` is thread-safe and every
@@ -74,10 +75,6 @@ class ServiceConfig:
     model: str = DEFAULT_MODEL
     #: concurrent answer threads (clients beyond this queue, not fail)
     workers: int = 4
-    #: fabric executor mode for batch requests (serial|threads|processes|auto)
-    executor: str = "auto"
-    #: fabric worker count inside one batch request
-    jobs: int = 2
     #: result cache threaded into the fabric policy (None = no caching)
     cache: Union[None, str, ResultCache] = None
     benchmark: BenchmarkConfig = field(default_factory=BenchmarkConfig)
@@ -85,12 +82,14 @@ class ServiceConfig:
     def policy(self) -> ExecutorPolicy:
         """The fabric policy answer threads dispatch under.
 
+        A batch answers serially on its answer thread: every cell is local
+        computation, so a pool inside one request only adds hand-off cost;
+        the service's concurrency is its :attr:`workers` answer threads.
         ``keep_contexts=True`` is the serving difference: batch runs drop
         their memoized scenario state after each sweep, a daemon reuses it
         across requests — that reuse is the service's warm path.
         """
-        return ExecutorPolicy(mode=self.executor, jobs=self.jobs,
-                              cache=self.cache, keep_contexts=True)
+        return ExecutorPolicy.serial(cache=self.cache, keep_contexts=True)
 
 
 class ReproService:
@@ -121,9 +120,8 @@ class ReproService:
             self._handle_connection, host=self.config.host,
             port=self.config.port)
         self._started_monotonic = time.monotonic()
-        logger.info("repro serve listening on %s:%d (workers=%d, executor=%s)",
-                    self.config.host, self.port, self.config.workers,
-                    self.config.executor)
+        logger.info("repro serve listening on %s:%d (workers=%d)",
+                    self.config.host, self.port, self.config.workers)
 
     async def stop(self) -> None:
         if self._server is not None:
@@ -217,7 +215,6 @@ class ReproService:
             "errors": registry.counter("serve.errors").value,
             "answers": registry.counter("serve.answers").value,
             "workers": self.config.workers,
-            "executor": self.config.executor,
         }
 
     def _parse_query_specs(self, document: Any) -> List[QuerySpec]:

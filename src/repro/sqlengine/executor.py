@@ -110,10 +110,13 @@ def _item_output_name(item: SelectItem, index: int) -> str:
 
 
 def _star_columns(scope: Scope, table_filter: Optional[str]) -> List[Tuple[str, Compiled]]:
-    """The bare-named columns of a row (optionally for one table alias)."""
-    return [(key, getter) for key, getter in scope.items()
-            if "." not in key
-            and (table_filter is None or f"{table_filter}.{key}" in scope)]
+    """The bare-named columns of a row, or one table alias's own columns:
+    a bare name a later join table shares reads that table's value."""
+    if table_filter is None:
+        return [(key, getter) for key, getter in scope.items() if "." not in key]
+    prefix = f"{table_filter}."
+    return [(key[len(prefix):], getter) for key, getter in scope.items()
+            if key.startswith(prefix)]
 
 
 def _execute_select(database: Database, statement: SelectStatement) -> ResultSet:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import operator
 import re
-from typing import Any, Callable, Dict, Iterable, List
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.sqlengine.ast_nodes import (
     Between,
@@ -130,8 +130,10 @@ def _like(left: Any, right: Any) -> Any:
     return re.match(_like_to_regex(str(right)), str(left)) is not None
 
 
-def _concat(left: Any, right: Any) -> str:
-    return f"{'' if left is None else left}{'' if right is None else right}"
+def _concat(left: Any, right: Any) -> Optional[str]:
+    if left is None or right is None:          # NULL in, NULL out
+        return None
+    return f"{left}{right}"
 
 
 def _arithmetic(symbol: str, apply: Callable[[Any, Any], Any],

@@ -457,7 +457,8 @@ class TestEffectsCli:
                      str(PACKAGE_ROOT)]) == 0
         out = capsys.readouterr().out
         assert "repro.benchmark.tasks:run_benchmark_cell" in out
-        assert "blocking-io" in out
+        assert "global-mutation" in out
+        assert "calls repro.exec.workers:worker_context" in out
         assert "thread-reachable via" in out
 
     def test_baseline_cli_round_trip(self, capsys, tmp_path, live_effect_cache):

@@ -118,8 +118,7 @@ class TestPayloadRoundTrips:
         config = BenchmarkConfig(
             traffic_node_count=11, traffic_edge_count=13, seed=3,
             malt_config=MaltTopologyConfig(datacenters=1, pods_per_datacenter=2),
-            calibration=CalibrationTable(),
-            simulated_api_latency_s=0.25)
+            calibration=CalibrationTable())
         rebuilt = BenchmarkConfig.from_payload(config.to_payload())
         assert rebuilt.to_payload() == config.to_payload()
         assert rebuilt.malt_config.vendors == config.malt_config.vendors

@@ -1,7 +1,7 @@
 """Tests for :class:`repro.exec.ExecutorPolicy` and the policy-era API.
 
-Covers mode resolution (fixed modes, ``auto`` per task-set profile and
-host core count), the thread executor's byte-identity with serial runs on
+Covers mode resolution (fixed modes, ``auto`` per task-set size and host
+core count), the thread executor's byte-identity with serial runs on
 both the static benchmark and the temporal suite, and worker-context
 retention (``keep_contexts``).
 """
@@ -10,8 +10,6 @@ import pytest
 
 from repro.benchmark.runner import BenchmarkConfig, BenchmarkRunner
 from repro.exec import (
-    PROFILE_CPU,
-    PROFILE_LATENCY,
     ExecutorPolicy,
     ParallelExecutor,
     SerialExecutor,
@@ -24,8 +22,8 @@ from repro.exec.workers import _CONTEXT_CACHE, clear_worker_contexts
 from repro.utils.validation import ValidationError
 
 
-def square_tasks(count=8, profile=PROFILE_CPU):
-    return TaskSet(name="squares", profile=profile, tasks=[
+def square_tasks(count=8):
+    return TaskSet(name="squares", tasks=[
         Task(key=f"sq/{index}", fn="repro.exec.demo:square", payload={"x": index})
         for index in range(count)])
 
@@ -39,7 +37,7 @@ def small_config():
 # ---------------------------------------------------------------------------
 class TestModeResolution:
     def test_jobs_one_always_resolves_serial(self):
-        tasks = square_tasks(profile=PROFILE_LATENCY)
+        tasks = square_tasks()
         for mode in ("auto", "serial", "threads", "processes"):
             assert ExecutorPolicy(mode=mode, jobs=1).resolve_mode(tasks) == "serial"
 
@@ -51,20 +49,16 @@ class TestModeResolution:
 
     def test_auto_single_task_never_leaves_the_process(self):
         assert ExecutorPolicy(mode="auto", jobs=4).resolve_mode(
-            square_tasks(count=1, profile=PROFILE_LATENCY)) == "serial"
-
-    def test_auto_latency_profile_picks_threads(self):
-        assert ExecutorPolicy(mode="auto", jobs=2).resolve_mode(
-            square_tasks(profile=PROFILE_LATENCY), cpu_count=1) == "threads"
+            square_tasks(count=1)) == "serial"
 
     def test_auto_cpu_profile_needs_spare_cores(self):
         policy = ExecutorPolicy(mode="auto", jobs=2)
-        tasks = square_tasks(profile=PROFILE_CPU)
+        tasks = square_tasks()
         assert policy.resolve_mode(tasks, cpu_count=1) == "serial"
         assert policy.resolve_mode(tasks, cpu_count=4) == "processes"
 
     def test_build_executor_matches_resolution(self):
-        tasks = square_tasks(profile=PROFILE_LATENCY)
+        tasks = square_tasks()
         assert isinstance(ExecutorPolicy.serial().build_executor(tasks),
                           SerialExecutor)
         assert isinstance(ExecutorPolicy.threads(jobs=2).build_executor(tasks),
@@ -74,24 +68,13 @@ class TestModeResolution:
             ParallelExecutor)
         assert isinstance(
             ExecutorPolicy.auto(jobs=2).build_executor(tasks, cpu_count=1),
-            ThreadExecutor)
+            SerialExecutor)
 
     def test_validate_rejects_bad_values(self):
         with pytest.raises(ValidationError):
             ExecutorPolicy(mode="gpu").validate()
         with pytest.raises(ValidationError):
             ExecutorPolicy(jobs=0).validate()
-
-    def test_profile_is_advisory_not_digest_material(self):
-        # the same task under differently-profiled sets digests identically:
-        # executor choice can never invalidate the cache
-        cpu = square_tasks(profile=PROFILE_CPU)
-        latency = square_tasks(profile=PROFILE_LATENCY)
-        assert [t.digest() for t in cpu] == [t.digest() for t in latency]
-
-    def test_task_set_rejects_unknown_profile(self):
-        with pytest.raises(ValidationError):
-            square_tasks(profile="gpu").validate()
 
 
 # ---------------------------------------------------------------------------

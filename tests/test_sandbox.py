@@ -290,6 +290,34 @@ class TestCodeCache:
         finally:
             clear_worker_contexts()
 
+    def test_equal_policies_share_one_verdict(self, monkeypatch):
+        from repro.exec import clear_worker_contexts
+        from repro.sandbox import executor
+
+        calls = []
+        real_validate = executor.validate_source
+
+        def counting(source, policy=None):
+            calls.append(policy.max_source_lines)
+            return real_validate(source, policy)
+
+        monkeypatch.setattr(executor, "validate_source", counting)
+        clear_worker_contexts()
+        try:
+            source = "a = 1\nb = 2\nresult = a + b"
+            # two distinct but equal policy objects: one cached verdict
+            for policy in (SandboxPolicy(), SandboxPolicy()):
+                assert ExecutionSandbox(policy).execute(
+                    source, {}, cache_code=True).result == 3
+            assert calls == [400]
+            # a different line limit is a different verdict
+            tight = ExecutionSandbox(SandboxPolicy(max_source_lines=2))
+            outcome = tight.execute(source, {}, cache_code=True)
+            assert outcome.error_type == "PolicyViolation"
+            assert calls == [400, 2]
+        finally:
+            clear_worker_contexts()
+
     def test_code_is_not_cached_unless_asked(self, monkeypatch):
         from repro.exec import clear_worker_contexts
         from repro.exec.workers import _CONTEXT_CACHE

@@ -13,7 +13,8 @@ import json
 import pytest
 
 from repro import api
-from repro.serve import ServerThread, ServiceConfig, request_json
+from repro.exec import Task, TaskSet
+from repro.serve import ReproService, ServerThread, ServiceConfig, request_json
 from repro.serve.http import (
     HttpProtocolError,
     HttpRequest,
@@ -25,7 +26,7 @@ from repro.serve.loadtest import LoadTestConfig, run_loadtest
 
 @pytest.fixture(scope="module")
 def server():
-    with ServerThread(ServiceConfig(port=0, workers=4, jobs=2)) as running:
+    with ServerThread(ServiceConfig(port=0, workers=4)) as running:
         yield running
 
 
@@ -67,6 +68,16 @@ class TestEndpoints:
         assert document["status"] == "ok"
         assert document["workers"] == 4
         assert document["uptime_s"] >= 0
+
+    def test_batches_answer_serially_on_their_answer_thread(self):
+        # the service's concurrency is its answer threads: a multi-query
+        # batch never hands its cells to a pool, whatever the host's cores
+        batch = TaskSet(name="batch", tasks=[
+            Task(key=f"sq/{index}", fn="repro.exec.demo:square",
+                 payload={"x": index}) for index in range(2)])
+        policy = ReproService(ServiceConfig(port=0))._policy
+        assert policy.resolve_mode(batch, cpu_count=4) == "serial"
+        assert policy.keep_contexts
 
     def test_scenarios_lists_the_corpus(self, server):
         status, document = call(server, "GET", "/scenarios")

@@ -221,6 +221,30 @@ class TestSelectExecution:
         assert database.execute("SELECT -NULL, +NULL").rows == [
             {"column_0": None, "column_1": None}]
 
+    def test_concat_with_a_null_operand_is_null(self):
+        database = Database("nulls")
+        database.add_table(Table.from_columns("t", {"id": [1, 2], "s": ["x", None]}))
+        assert database.execute("SELECT 'a' || NULL, NULL || 'b', 'a' || 'b'").rows == [
+            {"column_0": None, "column_1": None, "column_2": "ab"}]
+        assert database.execute(
+            "SELECT s || '!' AS v FROM t ORDER BY id").column("v") == ["x!", None]
+
+    def test_table_star_in_a_join_returns_that_tables_values(self):
+        database = Database("join")
+        database.add_table(Table("t", ["id", "name"], [
+            {"id": 1, "name": "alpha"}, {"id": 2, "name": "beta"}]))
+        database.add_table(Table("u", ["t_id", "id", "name"], [
+            {"t_id": 1, "id": 10, "name": "u-one"},
+            {"t_id": 2, "id": 20, "name": "u-two"}]))
+        sql = "SELECT {} FROM t JOIN u ON t.id = u.t_id ORDER BY t.id"
+        assert database.execute(sql.format("t.*")).to_records() == [
+            {"id": 1, "name": "alpha"}, {"id": 2, "name": "beta"}]
+        result = database.execute(sql.format("u.*"))
+        assert result.columns == ["t_id", "id", "name"]
+        assert result.to_records() == [
+            {"t_id": 1, "id": 10, "name": "u-one"},
+            {"t_id": 2, "id": 20, "name": "u-two"}]
+
     def test_any_output_name_keeps_its_values(self):
         database = Database("names")
         database.add_table(Table.from_columns("t", {"id": [1, 2]}))
