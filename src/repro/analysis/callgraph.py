@@ -548,7 +548,8 @@ def _detect_worker_roots(graph: CallGraph) -> None:
         target = graph.resolve_worker_ref(reference)
         if target is not None and target not in graph.worker_roots:
             graph.worker_roots.append(target)
-            # fabric workers also run under the in-process ThreadExecutor
+            # fabric workers also run on serve's answer threads, each of
+            # which runs a serial run_tasks in this process
             if target not in graph.thread_roots:
                 graph.thread_roots.append(target)
 

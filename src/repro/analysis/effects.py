@@ -783,7 +783,7 @@ def check_async_blocking(rule_: Rule, ctx: FileContext) -> Iterator[Finding]:
       description="module global written without a lock from a "
                   "thread-reachable function, or process-wide state changed",
       suggestion="take a module-level threading.Lock() (with _LOCK: ...) "
-                 "around every write to state shared across ThreadExecutor "
+                 "around every write to state shared across answer-thread "
                  "/ ServerThread paths, or confine the state to one thread; "
                  "pass streams, directories and settings explicitly instead "
                  "of swapping sys.stdout, the cwd or os.environ")

@@ -8,6 +8,7 @@ runner evaluates the same query against four models and four backends.
 
 from __future__ import annotations
 
+import threading
 import weakref
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
@@ -50,6 +51,10 @@ class GoldenAnswerSelector:
         # without keeping every queried graph alive for the cache's lifetime.
         self._cache: Dict[Tuple[str, int],
                           Tuple["weakref.ref[PropertyGraph]", GoldenAnswer]] = {}
+        # one selector serves every cell of a process, and serve's answer
+        # threads run cells concurrently: a store landing while another
+        # thread's prune iterates the cache would break that iteration
+        self._lock = threading.Lock()
 
     def _prune_dead(self) -> int:
         """Drop entries whose graph has been garbage-collected.
@@ -59,9 +64,10 @@ class GoldenAnswerSelector:
         recycled-id hits but never *removes* the dead entry it rejected.
         Returns how many entries were evicted.
         """
-        dead = [key for key, (ref, _) in self._cache.items() if ref() is None]
-        for key in dead:
-            del self._cache[key]
+        with self._lock:
+            dead = [key for key, (ref, _) in self._cache.items() if ref() is None]
+            for key in dead:
+                del self._cache[key]
         return len(dead)
 
     def __len__(self) -> int:
@@ -84,7 +90,8 @@ class GoldenAnswerSelector:
             value=outcome.value,
             graph=outcome.graph,
         )
-        self._cache[cache_key] = (weakref.ref(graph), golden)
+        with self._lock:
+            self._cache[cache_key] = (weakref.ref(graph), golden)
         return golden
 
     def expected_graph(self, golden: GoldenAnswer,

@@ -317,9 +317,9 @@ class BenchmarkRunner:
     Sweeps (``run_application``, ``run_scenario``, ``run_scenario_suite``)
     are dispatched through the :mod:`repro.exec` fabric: every (application,
     backend, query, model) cell becomes a task, executed under *policy* —
-    serial, thread pool, process pool, or auto-resolved per task set — with
-    results folded back in task order, so the produced tables are
-    byte-identical regardless of the executor or cache state.
+    serially in-process or on a process pool — with results folded back in
+    task order, so the produced tables are byte-identical regardless of the
+    executor or cache state.
     """
 
     def __init__(self, config: Optional[BenchmarkConfig] = None,

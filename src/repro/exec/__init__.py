@@ -8,9 +8,9 @@ exploits that purity:
 * a :class:`Task` names one cell with a stable key and describes it as data
   (worker dotted path + JSON payload);
 * :func:`run_tasks` dispatches a :class:`TaskSet` under an
-  :class:`ExecutorPolicy` — ``serial`` in-process, a ``threads`` or
-  ``processes`` pool, or ``auto``, which runs a multi-task set in processes
-  when the host has a spare core and serially otherwise;
+  :class:`ExecutorPolicy` — serially in-process at ``jobs == 1``, under
+  ``mode == "serial"`` or for a single task, and on a pool of ``jobs``
+  worker processes otherwise;
 * a content-keyed :class:`ResultCache` skips cells whose digest (fabric
   version + key + worker + canonical payload) already has a stored result;
 * the :class:`RunReport` carries per-task timing/telemetry and returns
@@ -23,16 +23,14 @@ enforced by the tier-1 tests.
 
 from repro.exec.api import run_tasks
 from repro.exec.cache import DEFAULT_CACHE_DIR, ResultCache, resolve_cache
-from repro.exec.executors import (ParallelExecutor, SerialExecutor,
-                                  ThreadExecutor, shard_tasks)
-from repro.exec.policy import EXECUTOR_MODES, ExecutorPolicy
+from repro.exec.executors import ParallelExecutor, SerialExecutor, shard_tasks
+from repro.exec.policy import ExecutorPolicy
 from repro.exec.report import RunReport, TaskExecutionError, TaskResult
 from repro.exec.task import FABRIC_VERSION, Task, TaskSet
 from repro.exec.workers import clear_worker_contexts, resolve_worker, worker_context
 
 __all__ = [
     "DEFAULT_CACHE_DIR",
-    "EXECUTOR_MODES",
     "ExecutorPolicy",
     "FABRIC_VERSION",
     "ParallelExecutor",
@@ -43,7 +41,6 @@ __all__ = [
     "TaskExecutionError",
     "TaskResult",
     "TaskSet",
-    "ThreadExecutor",
     "clear_worker_contexts",
     "resolve_cache",
     "resolve_worker",

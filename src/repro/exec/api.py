@@ -8,8 +8,8 @@ lookups and stores stay in the parent process so the cache never needs
 cross-process coordination.
 
 The policy object is the API: owners (runner, cost analyzer, CLI, serve)
-describe *how* they want work run once — mode, jobs, cache, chunking,
-context retention — and hand the same value everywhere.
+describe *how* they want work run once — mode, jobs, cache, context
+retention — and hand the same value everywhere.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import time
 from typing import Optional
 
 from repro.exec.cache import resolve_cache
-from repro.exec.executors import SerialExecutor, ThreadExecutor
+from repro.exec.executors import SerialExecutor
 from repro.exec.policy import ExecutorPolicy
 from repro.exec.report import RunReport, TaskResult
 from repro.exec.task import TaskSet
@@ -29,7 +29,6 @@ from repro.obs import ingest_observations, span
 logger = logging.getLogger(__name__)
 
 def run_tasks(task_set: TaskSet,
-              executor=None,
               policy: Optional[ExecutorPolicy] = None) -> RunReport:
     """Run every task of *task_set* and return the ordered :class:`RunReport`.
 
@@ -38,13 +37,9 @@ def run_tasks(task_set: TaskSet,
     task_set:
         The ordered, uniquely-keyed work description.
     policy:
-        The :class:`ExecutorPolicy` deciding mechanism (serial / threads /
-        processes / auto), worker count, caching, chunking, and whether
-        worker contexts outlive the run.  ``None`` means the default policy
-        (serial, uncached).
-    executor:
-        Explicit executor instance, overriding the policy's mechanism
-        selection (the policy still governs caching and context retention).
+        The :class:`ExecutorPolicy` deciding mechanism (serial / processes),
+        worker count, caching, and whether worker contexts outlive the run.
+        ``None`` means the default policy (serial, uncached).
 
     The report's ``results`` are in task-set order regardless of executor or
     completion order — the determinism contract every consumer builds on.
@@ -52,15 +47,13 @@ def run_tasks(task_set: TaskSet,
     if policy is None:
         policy = ExecutorPolicy.serial()
     policy.validate()
-
     task_set.validate()
-    if executor is None:
-        executor = policy.build_executor(task_set)
+    executor = policy.build_executor(task_set)
     result_cache = resolve_cache(policy.cache)
     started = time.perf_counter()
 
     dispatch_attrs = {"task_set": task_set.name, "tasks": len(task_set),
-                      "jobs": getattr(executor, "jobs", policy.jobs),
+                      "jobs": executor.jobs,
                       "executor": type(executor).__name__}
     with span("exec.run_tasks", attrs=dispatch_attrs):
         results = {}
@@ -89,8 +82,7 @@ def run_tasks(task_set: TaskSet,
                                     duration_s=raw["duration_s"])
                 results[result.key] = result
         finally:
-            if (isinstance(executor, (SerialExecutor, ThreadExecutor))
-                    and not policy.keep_contexts):
+            if isinstance(executor, SerialExecutor) and not policy.keep_contexts:
                 # in-process execution memoizes worker contexts (rebuilt
                 # applications) in *this* process; drop them so long-lived
                 # sessions don't accumulate one graph per swept
@@ -110,7 +102,7 @@ def run_tasks(task_set: TaskSet,
 
     report = RunReport(
         task_set=task_set.name,
-        jobs=getattr(executor, "jobs", policy.jobs),
+        jobs=executor.jobs,
         results=[results[task.key] for task in task_set],
         wall_time_s=time.perf_counter() - started,
     )

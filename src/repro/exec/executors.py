@@ -7,8 +7,6 @@ process pool) surface as per-task errors.
 
 :class:`SerialExecutor` runs everything in-process and is the reference
 implementation the determinism tests compare against.
-:class:`ThreadExecutor` runs cells on an in-process thread pool — no
-pickling, no pool spin-up, shared worker contexts.
 :class:`ParallelExecutor` fans chunks of tasks out over a process pool for
 cpu-bound work.  Because workers are pure functions of their payloads,
 completion order is irrelevant and every reordered output is byte-identical
@@ -18,8 +16,7 @@ to a serial run.
 from __future__ import annotations
 
 import math
-from concurrent.futures import (FIRST_COMPLETED, ProcessPoolExecutor,
-                                ThreadPoolExecutor, wait)
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.exec.task import Task
@@ -28,22 +25,19 @@ from repro.obs import tracing_enabled
 from repro.utils.validation import require
 
 
-def shard_tasks(tasks: Sequence[Task], jobs: int,
-                chunk_size: Optional[int] = None) -> List[List[Task]]:
+def shard_tasks(tasks: Sequence[Task], jobs: int) -> List[List[Task]]:
     """Split tasks into submission chunks, respecting shard groups.
 
     Tasks sharing a ``group`` are kept in the same chunks (in task order) so
     that per-process context — a rebuilt application, a replayed scenario —
-    is constructed once per chunk rather than once per task.  With no
-    explicit ``chunk_size`` the policy aims for ~4 chunks per worker, which
-    balances load without drowning the pool in tiny submissions.
+    is constructed once per chunk rather than once per task.  Chunks aim
+    for ~4 per worker, which balances load without drowning the pool in
+    tiny submissions.
     """
     require(jobs >= 1, "jobs must be at least 1")
     if not tasks:
         return []
-    if chunk_size is None:
-        chunk_size = max(1, math.ceil(len(tasks) / (jobs * 4)))
-    require(chunk_size >= 1, "chunk_size must be at least 1")
+    per_chunk = max(1, math.ceil(len(tasks) / (jobs * 4)))
 
     grouped: Dict[str, List[Task]] = {}
     order: List[str] = []
@@ -56,8 +50,8 @@ def shard_tasks(tasks: Sequence[Task], jobs: int,
     chunks: List[List[Task]] = []
     for group in order:
         members = grouped[group]
-        for start in range(0, len(members), chunk_size):
-            chunks.append(members[start:start + chunk_size])
+        for start in range(0, len(members), per_chunk):
+            chunks.append(members[start:start + per_chunk])
     return chunks
 
 
@@ -68,43 +62,6 @@ class SerialExecutor:
 
     def execute(self, tasks: Sequence[Task]) -> List[Dict[str, Any]]:
         return [run_task(task.to_wire()) for task in tasks]
-
-
-class ThreadExecutor:
-    """Run task chunks on an in-process thread pool.
-
-    Cells share the parent's caches and worker contexts directly and pay
-    no serialization or pool spin-up.  Every cell in this repository is
-    cpu-bound, so the GIL serializes the work and a thread pool runs as a
-    (slightly slower) serial execution; ``auto`` never picks it, and it
-    stays selectable as one of the determinism contract's mechanisms.
-
-    Tasks run in this process, so — exactly like :class:`SerialExecutor` —
-    spans and metrics land directly in the parent's tracer and registry and
-    no ``obs`` wire marker is needed.  Workers must be pure functions of
-    their payloads and :func:`~repro.exec.workers.worker_context` is
-    thread-safe, so concurrent completion order cannot leak into results:
-    the output list is in input order, byte-identical to a serial run.
-    """
-
-    def __init__(self, jobs: int = 2) -> None:
-        require(jobs >= 1, "jobs must be at least 1")
-        self.jobs = jobs
-
-    def execute(self, tasks: Sequence[Task]) -> List[Dict[str, Any]]:
-        if not tasks:
-            return []
-        chunks = shard_tasks(tasks, self.jobs)
-        by_key: Dict[str, Dict[str, Any]] = {}
-        with ThreadPoolExecutor(max_workers=self.jobs) as pool:
-            futures = [pool.submit(run_chunk, [task.to_wire() for task in chunk])
-                       for chunk in chunks]
-            # run_chunk never raises (run_task captures every cell failure),
-            # so draining futures in submission order is deadlock-free
-            for future in futures:
-                for raw in future.result():
-                    by_key[raw["key"]] = raw
-        return [by_key[task.key] for task in tasks]
 
 
 class ParallelExecutor:

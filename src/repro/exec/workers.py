@@ -64,11 +64,13 @@ def worker_context(key: Tuple[Any, ...], builder: Callable[[], Any]) -> Any:
     built value is shared by every task of the same process, so it must be
     treated as immutable by workers (copy before mutating).
 
-    Thread-safe: under :class:`~repro.exec.executors.ThreadExecutor` (and
-    the serve layer) concurrent tasks may request the same context, and
-    exactly one of them builds it — a per-key build lock keeps unrelated
-    contexts from serializing each other's construction while guaranteeing
-    every caller observes the same built value.
+    Thread-safe: caller threads that each run a serial
+    :func:`~repro.exec.api.run_tasks` — serve's answer threads — may request
+    the same context at once, and exactly one of them builds it.  A per-key
+    build lock keeps unrelated contexts from serializing each other's
+    construction.  The value returned is the one built or read under that
+    lock, so a concurrent :func:`clear_worker_contexts` (the end of another
+    thread's run) cannot make the call fail.
     """
     value = _CONTEXT_CACHE.get(key, _MISSING)
     if value is not _MISSING:
@@ -76,9 +78,10 @@ def worker_context(key: Tuple[Any, ...], builder: Callable[[], Any]) -> Any:
     with _CONTEXT_CACHE_LOCK:
         build_lock = _CONTEXT_BUILD_LOCKS.setdefault(key, threading.Lock())
     with build_lock:
-        if key not in _CONTEXT_CACHE:
-            _CONTEXT_CACHE[key] = builder()
-    return _CONTEXT_CACHE[key]
+        value = _CONTEXT_CACHE.get(key, _MISSING)
+        if value is _MISSING:
+            value = _CONTEXT_CACHE[key] = builder()
+    return value
 
 
 def clear_worker_contexts() -> None:

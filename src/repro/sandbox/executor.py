@@ -62,7 +62,7 @@ def _print_to(buffer: io.StringIO):
     """``print`` writing to *buffer* when no other file is named.
 
     The process-wide ``sys.stdout`` is never swapped: concurrent executions
-    (thread pools, ``repro serve``) would capture each other's output, and
+    (``repro serve``'s answer threads) would capture each other's output, and
     a runaway program would keep the swap after its timeout.
     """
     def _print(*values, sep=None, end=None, file=None, flush=False):

@@ -33,6 +33,8 @@ from repro.sqlengine.parser import parse_statement
 
 Row = Dict[str, Any]
 Values = Tuple[Any, ...]
+#: (table alias, column name, getter) of every column of a row, in order
+RowColumns = List[Tuple[str, str, Compiled]]
 
 
 def execute_sql(database: Database, sql: str) -> Optional[ResultSet]:
@@ -65,15 +67,20 @@ def execute_statement(database: Database, statement: Statement) -> Optional[Resu
 # maps every name the row answers to (bare and ``alias.column``, a later
 # table's column winning a shared name) to the getter of its position.
 # WHERE, ON, GROUP BY, HAVING and the select list run as closures over these
-# tuples; dicts are built only for the rows the statement returns.
+# tuples; dicts are built only for the rows the statement returns.  A star
+# expands from the row's column list, never from the scope's keys, which
+# cannot tell a bare dotted column name from a qualified one.
 # ---------------------------------------------------------------------------
-def _add_columns(scope: Scope, table: Table, ref: TableRef, offset: int) -> None:
-    """Add *table*'s columns, at *offset* in the row tuple, to *scope*."""
+def _add_columns(scope: Scope, row_columns: RowColumns, table: Table,
+                 ref: TableRef, offset: int) -> None:
+    """Add *table*'s columns, at *offset* in the row tuple, to *scope* and
+    to *row_columns*."""
     alias = ref.effective_name
     for index, column in enumerate(table.columns, offset):
         getter = itemgetter(index)
         scope[column] = getter
         scope[f"{alias}.{column}"] = getter
+        row_columns.append((alias, column, getter))
 
 
 def _join(rows: Iterable[Values], right_rows: List[Values], condition: Compiled,
@@ -109,14 +116,15 @@ def _item_output_name(item: SelectItem, index: int) -> str:
     return f"column_{index}"
 
 
-def _star_columns(scope: Scope, table_filter: Optional[str]) -> List[Tuple[str, Compiled]]:
-    """The bare-named columns of a row, or one table alias's own columns:
-    a bare name a later join table shares reads that table's value."""
-    if table_filter is None:
-        return [(key, getter) for key, getter in scope.items() if "." not in key]
-    prefix = f"{table_filter}."
-    return [(key[len(prefix):], getter) for key, getter in scope.items()
-            if key.startswith(prefix)]
+def _star_columns(row_columns: RowColumns,
+                  table_filter: Optional[str]) -> List[Tuple[str, Compiled]]:
+    """The distinct column names of a row, or of one table alias, in order:
+    a name a later join table shares reads that table's value."""
+    getters: Dict[str, Compiled] = {}
+    for alias, column, getter in row_columns:
+        if table_filter is None or alias == table_filter:
+            getters[column] = getter
+    return list(getters.items())
 
 
 def _execute_select(database: Database, statement: SelectStatement) -> ResultSet:
@@ -134,12 +142,13 @@ def _execute_select(database: Database, statement: SelectStatement) -> ResultSet
 
     base_table = database.table(statement.table.name)
     scope: Scope = {}
-    _add_columns(scope, base_table, statement.table, 0)
+    row_columns: RowColumns = []
+    _add_columns(scope, row_columns, base_table, statement.table, 0)
     width = len(base_table.columns)
     rows: Iterable[Values] = base_table.row_values()
     for join in statement.joins:
         right_table = database.table(join.table.name)
-        _add_columns(scope, right_table, join.table, width)
+        _add_columns(scope, row_columns, right_table, join.table, width)
         width += len(right_table.columns)
         rows = _join(rows, list(right_table.row_values()),
                      compile_expression(join.condition, scope),
@@ -163,7 +172,7 @@ def _execute_select(database: Database, statement: SelectStatement) -> ResultSet
         paired: List[Tuple[Row, Optional[Values]]] = [(row, None) for row in out_rows]
         source_scope = None
     else:
-        out_rows, columns = _execute_plain(statement, scope, rows)
+        out_rows, columns = _execute_plain(statement, scope, row_columns, rows)
         paired = list(zip(out_rows, rows))
         source_scope = scope
 
@@ -186,13 +195,13 @@ def _execute_select(database: Database, statement: SelectStatement) -> ResultSet
     return ResultSet(columns, [row for row, _ in paired])
 
 
-def _execute_plain(statement: SelectStatement, scope: Scope,
+def _execute_plain(statement: SelectStatement, scope: Scope, row_columns: RowColumns,
                    rows: List[Values]) -> Tuple[List[Row], List[str]]:
     names: List[str] = []
     functions: List[Compiled] = []
     for index, item in enumerate(statement.items):
         if isinstance(item.expression, Star):
-            for key, getter in _star_columns(scope, item.expression.table):
+            for key, getter in _star_columns(row_columns, item.expression.table):
                 names.append(key)
                 functions.append(getter)
             continue

@@ -103,10 +103,10 @@ class TestAnswers:
         requests = [QuerySpec("fat-tree-failover", query.query_id)
                     for query in temporal_queries_for("fat-tree-failover")]
         serial = api.answer_queries(requests, policy=ExecutorPolicy.serial())
-        threaded = api.answer_queries(requests,
-                                      policy=ExecutorPolicy.threads(jobs=3))
+        pooled = api.answer_queries(requests,
+                                    policy=ExecutorPolicy.processes(jobs=2))
         strip = ("duration_s", "cached")
-        for left, right in zip(serial, threaded):
+        for left, right in zip(serial, pooled):
             left_doc, right_doc = left.to_document(), right.to_document()
             for key in strip:
                 left_doc.pop(key), right_doc.pop(key)

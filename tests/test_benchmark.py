@@ -2,6 +2,7 @@
 logger, and runner (including agreement with the paper's accuracy tables)."""
 
 import math
+import threading
 
 import pytest
 
@@ -181,6 +182,27 @@ class TestGoldenSelector:
         # must have swept the corpses, leaving at most the final entry plus
         # the one inserted after the sweep
         assert len(selector) <= 2
+
+    def test_a_concurrent_store_cannot_break_a_prune(self, traffic_app):
+        # one selector serves every answer thread of a process: another
+        # thread's golden_for may store while this one prunes the cache
+        selector = GoldenAnswerSelector()
+        selector.golden_for(query_by_id("ta-e1"), traffic_app.graph)
+        other = threading.Thread(target=selector.golden_for,
+                                 args=(query_by_id("ta-e2"), traffic_app.graph))
+
+        class StoreDuringPrune(dict):
+            def items(self):
+                for pair in super().items():
+                    yield pair
+                    if other.ident is None:  # not started yet
+                        other.start()
+                        other.join(timeout=0.2)
+
+        selector._cache = StoreDuringPrune(selector._cache)
+        selector._prune_dead()
+        other.join()
+        assert len(selector) == 2
 
     def test_live_cache_entries_survive_pruning(self):
         selector = GoldenAnswerSelector()

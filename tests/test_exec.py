@@ -10,9 +10,7 @@ import pytest
 
 from repro.exec import (
     ExecutorPolicy,
-    ParallelExecutor,
     ResultCache,
-    SerialExecutor,
     Task,
     TaskExecutionError,
     TaskSet,
@@ -88,9 +86,11 @@ class TestTaskModel:
 # ---------------------------------------------------------------------------
 class TestSharding:
     def test_groups_stay_whole_within_chunks(self):
-        task_set = square_tasks(12, group_of=lambda index: f"g{index % 3}")
-        chunks = shard_tasks(task_set.tasks, jobs=2, chunk_size=100)
-        # every chunk is single-group
+        # four groups of three; ~4 chunks per worker makes chunks of three
+        task_set = square_tasks(12, group_of=lambda index: f"g{index % 4}")
+        chunks = shard_tasks(task_set.tasks, jobs=1)
+        # every group fills exactly one chunk
+        assert sorted(chunk[0].group for chunk in chunks) == ["g0", "g1", "g2", "g3"]
         for chunk in chunks:
             assert len({task.group for task in chunk}) == 1
         # all twelve tasks survive sharding exactly once
@@ -98,13 +98,14 @@ class TestSharding:
         assert sorted(keys) == sorted(task_set.keys())
 
     def test_chunk_size_splits_large_groups(self):
+        # ~4 chunks per worker: ten tasks at jobs=1 go in chunks of three
         task_set = square_tasks(10)
-        chunks = shard_tasks(task_set.tasks, jobs=2, chunk_size=3)
+        chunks = shard_tasks(task_set.tasks, jobs=1)
         assert [len(chunk) for chunk in chunks] == [3, 3, 3, 1]
 
     def test_auto_chunking_targets_four_chunks_per_worker(self):
         task_set = square_tasks(32)
-        chunks = shard_tasks(task_set.tasks, jobs=4, chunk_size=None)
+        chunks = shard_tasks(task_set.tasks, jobs=4)
         assert len(chunks) == 16
 
     def test_empty_task_list(self):
@@ -117,8 +118,8 @@ class TestSharding:
 class TestEquivalence:
     def test_values_identical_across_executors(self):
         task_set = square_tasks(10, group_of=lambda index: f"g{index % 2}")
-        serial = run_tasks(task_set, executor=SerialExecutor())
-        parallel = run_tasks(task_set, executor=ParallelExecutor(jobs=3))
+        serial = run_tasks(task_set, policy=ExecutorPolicy.serial())
+        parallel = run_tasks(task_set, policy=ExecutorPolicy.processes(jobs=3))
         assert serial.values() == parallel.values() == [i * i for i in range(10)]
 
     def test_results_come_back_in_task_order(self):

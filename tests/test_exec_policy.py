@@ -1,10 +1,13 @@
 """Tests for :class:`repro.exec.ExecutorPolicy` and the policy-era API.
 
-Covers mode resolution (fixed modes, ``auto`` per task-set size and host
-core count), the thread executor's byte-identity with serial runs on
-both the static benchmark and the temporal suite, and worker-context
-retention (``keep_contexts``).
+Covers the one executor rule (serial at ``jobs == 1``, under the ``serial``
+mode or for a single task; a process pool otherwise), worker contexts
+shared by concurrent answer threads that each run a serial ``run_tasks``
+(serve's path), and worker-context retention (``keep_contexts``).
 """
+
+import sys
+import threading
 
 import pytest
 
@@ -15,10 +18,9 @@ from repro.exec import (
     SerialExecutor,
     Task,
     TaskSet,
-    ThreadExecutor,
-    run_tasks,
 )
-from repro.exec.workers import _CONTEXT_CACHE, clear_worker_contexts
+from repro.exec import workers
+from repro.exec.workers import _CONTEXT_CACHE, clear_worker_contexts, worker_context
 from repro.utils.validation import ValidationError
 
 
@@ -33,86 +35,83 @@ def small_config():
 
 
 # ---------------------------------------------------------------------------
-# mode resolution
+# executor selection
 # ---------------------------------------------------------------------------
 class TestModeResolution:
     def test_jobs_one_always_resolves_serial(self):
         tasks = square_tasks()
-        for mode in ("auto", "serial", "threads", "processes"):
-            assert ExecutorPolicy(mode=mode, jobs=1).resolve_mode(tasks) == "serial"
+        for mode in ("serial", "processes"):
+            assert isinstance(ExecutorPolicy(mode=mode, jobs=1).build_executor(tasks),
+                              SerialExecutor)
 
     def test_fixed_modes_resolve_to_themselves(self):
         tasks = square_tasks()
-        assert ExecutorPolicy(mode="threads", jobs=2).resolve_mode(tasks) == "threads"
-        assert ExecutorPolicy(mode="processes", jobs=2).resolve_mode(
-            tasks, cpu_count=1) == "processes"
+        assert isinstance(ExecutorPolicy(mode="serial", jobs=2).build_executor(tasks),
+                          SerialExecutor)
+        executor = ExecutorPolicy(mode="processes", jobs=3).build_executor(tasks)
+        assert isinstance(executor, ParallelExecutor) and executor.jobs == 3
 
-    def test_auto_single_task_never_leaves_the_process(self):
-        assert ExecutorPolicy(mode="auto", jobs=4).resolve_mode(
-            square_tasks(count=1)) == "serial"
-
-    def test_auto_cpu_profile_needs_spare_cores(self):
-        policy = ExecutorPolicy(mode="auto", jobs=2)
-        tasks = square_tasks()
-        assert policy.resolve_mode(tasks, cpu_count=1) == "serial"
-        assert policy.resolve_mode(tasks, cpu_count=4) == "processes"
+    def test_single_task_never_leaves_the_process(self):
+        assert isinstance(
+            ExecutorPolicy.processes(jobs=4).build_executor(square_tasks(count=1)),
+            SerialExecutor)
 
     def test_build_executor_matches_resolution(self):
         tasks = square_tasks()
         assert isinstance(ExecutorPolicy.serial().build_executor(tasks),
                           SerialExecutor)
-        assert isinstance(ExecutorPolicy.threads(jobs=2).build_executor(tasks),
-                          ThreadExecutor)
-        assert isinstance(
-            ExecutorPolicy.processes(jobs=2).build_executor(tasks, cpu_count=1),
-            ParallelExecutor)
-        assert isinstance(
-            ExecutorPolicy.auto(jobs=2).build_executor(tasks, cpu_count=1),
-            SerialExecutor)
+        assert isinstance(ExecutorPolicy(jobs=2).build_executor(tasks),
+                          ParallelExecutor)
 
     def test_validate_rejects_bad_values(self):
-        with pytest.raises(ValidationError):
-            ExecutorPolicy(mode="gpu").validate()
+        for mode in ("gpu", "threads", "auto"):
+            with pytest.raises(ValidationError):
+                ExecutorPolicy(mode=mode).validate()
         with pytest.raises(ValidationError):
             ExecutorPolicy(jobs=0).validate()
 
 
 # ---------------------------------------------------------------------------
-# thread-executor byte-identity
+# concurrent answer threads
 # ---------------------------------------------------------------------------
-class TestThreadEquivalence:
-    def test_threads_match_serial_on_demo_tasks(self):
-        tasks = square_tasks(count=13)
-        serial = run_tasks(tasks, policy=ExecutorPolicy.serial())
-        threaded = run_tasks(tasks, policy=ExecutorPolicy.threads(jobs=3))
-        assert serial.values() == threaded.values()
-        assert [r.key for r in threaded.results] == [t.key for t in tasks]
+def _static_and_temporal_records(policy):
+    runner = BenchmarkRunner(small_config(), policy=policy)
+    static = runner.run_application(
+        "traffic_analysis", backends=("networkx",), models=["gpt-4"])
+    temporal = runner.run_temporal_suite(
+        scenarios=["fat-tree-failover"], models=["gpt-4"])
+    return [(report.render_summary(), report.logger.to_records())
+            for report in (static, temporal)]
 
-    def test_threads_match_serial_on_benchmark_suite(self):
-        serial = BenchmarkRunner(small_config())
-        threaded = BenchmarkRunner(small_config(),
-                                   policy=ExecutorPolicy.threads(jobs=2))
-        report_serial = serial.run_application(
-            "traffic_analysis", backends=("networkx",), models=["gpt-4"])
-        report_threaded = threaded.run_application(
-            "traffic_analysis", backends=("networkx",), models=["gpt-4"])
-        assert (report_serial.render_summary()
-                == report_threaded.render_summary())
-        assert (report_serial.logger.to_records()
-                == report_threaded.logger.to_records())
 
-    def test_threads_match_serial_on_temporal_suite(self):
-        serial = BenchmarkRunner(BenchmarkConfig())
-        threaded = BenchmarkRunner(BenchmarkConfig(),
-                                   policy=ExecutorPolicy.threads(jobs=2))
-        report_serial = serial.run_temporal_suite(
-            scenarios=["fat-tree-failover"], models=["gpt-4"])
-        report_threaded = threaded.run_temporal_suite(
-            scenarios=["fat-tree-failover"], models=["gpt-4"])
-        assert (report_serial.render_summary()
-                == report_threaded.render_summary())
-        assert (report_serial.logger.to_records()
-                == report_threaded.logger.to_records())
+class TestAnswerThreads:
+    def test_concurrent_answer_threads_match_serial(self):
+        # serve's answer threads each run a serial run_tasks and share the
+        # process's worker contexts; a tiny switch interval interleaves
+        # their context builds, lookups and sandbox runs
+        expected = _static_and_temporal_records(ExecutorPolicy.serial())
+        policy = ExecutorPolicy.serial(keep_contexts=True)
+        outcomes = {}
+
+        def answer(index):
+            try:
+                outcomes[index] = _static_and_temporal_records(policy)
+            except BaseException as error:  # noqa: BLE001 - reported below
+                outcomes[index] = error
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=answer, args=(index,))
+                       for index in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+            clear_worker_contexts()
+        assert [outcomes[index] for index in range(4)] == [expected] * 4
 
 
 # ---------------------------------------------------------------------------
@@ -133,3 +132,13 @@ class TestContextRetention:
             assert _CONTEXT_CACHE  # the warm path the serve layer relies on
         finally:
             clear_worker_contexts()
+
+    def test_concurrent_clear_cannot_fail_a_context_lookup(self, monkeypatch):
+        class ClearedOnStore(dict):
+            # another thread's run ends right after this one stores its build
+            def __setitem__(self, key, value):
+                super().__setitem__(key, value)
+                self.clear()
+
+        monkeypatch.setattr(workers, "_CONTEXT_CACHE", ClearedOnStore())
+        assert worker_context(("k",), lambda: 42) == 42

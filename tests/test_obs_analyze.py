@@ -295,7 +295,7 @@ class TestResourceSampling:
         sweep = ["benchmark", "--application", "traffic", "--models", "gpt-4",
                  "--no-cache", "--no-ledger"]
         metrics_path = tmp_path / "metrics.json"
-        assert main(sweep + ["--jobs", "2", "--executor", "processes",
+        assert main(sweep + ["--jobs", "2",
                              "--metrics-out", str(metrics_path)]) == 0
         parallel = capsys.readouterr().out
         document = json.loads(metrics_path.read_text(encoding="utf-8"))

@@ -13,7 +13,7 @@ import json
 import pytest
 
 from repro import api
-from repro.exec import Task, TaskSet
+from repro.exec import SerialExecutor, Task, TaskSet
 from repro.serve import ReproService, ServerThread, ServiceConfig, request_json
 from repro.serve.http import (
     HttpProtocolError,
@@ -71,12 +71,12 @@ class TestEndpoints:
 
     def test_batches_answer_serially_on_their_answer_thread(self):
         # the service's concurrency is its answer threads: a multi-query
-        # batch never hands its cells to a pool, whatever the host's cores
+        # batch never hands its cells to a pool
         batch = TaskSet(name="batch", tasks=[
             Task(key=f"sq/{index}", fn="repro.exec.demo:square",
                  payload={"x": index}) for index in range(2)])
         policy = ReproService(ServiceConfig(port=0))._policy
-        assert policy.resolve_mode(batch, cpu_count=4) == "serial"
+        assert isinstance(policy.build_executor(batch), SerialExecutor)
         assert policy.keep_contexts
 
     def test_scenarios_lists_the_corpus(self, server):

@@ -245,6 +245,17 @@ class TestSelectExecution:
             {"t_id": 1, "id": 10, "name": "u-one"},
             {"t_id": 2, "id": 20, "name": "u-two"}]
 
+    def test_star_keeps_dotted_column_names(self):
+        database = Database("dotted")
+        database.add_table(Table("a", ["id"], [{"id": 1}]))
+        database.add_table(Table("d", ["k", "a.v"], [{"k": "p", "a.v": 3}]))
+        sql = "SELECT {} FROM a JOIN d ON a.id = 1"
+        assert database.execute(sql.format("*")).to_records() == [
+            {"id": 1, "k": "p", "a.v": 3}]
+        # a.* is table a's own columns, not d's bare name that starts "a."
+        assert database.execute(sql.format("a.*")).to_records() == [{"id": 1}]
+        assert database.execute(sql.format("d.*")).columns == ["k", "a.v"]
+
     def test_any_output_name_keeps_its_values(self):
         database = Database("names")
         database.add_table(Table.from_columns("t", {"id": [1, 2]}))
