@@ -13,7 +13,7 @@ file but may consult that engine's cached whole-project analysis.
 
 Suppressions use an explicit, greppable marker::
 
-    recency = (time.time_ns(), next(_STORE_COUNTER))  # repro: allow[det-wallclock]
+    recorded_at = time.time()  # repro: allow[det-wallclock]
 
 A marker on the finding line or on the line directly above it silences that
 rule for that line only — there is no file-level or block-level escape

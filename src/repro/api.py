@@ -29,7 +29,7 @@ batch benchmark's verdicts for the same (scenario, query, model, backend).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Union
 
 from repro.benchmark.evaluator import EvaluationRecord, normalize_value
 from repro.benchmark.queries import (
@@ -49,6 +49,9 @@ from repro.exec import (
 )
 from repro.utils.hashing import stable_hash
 from repro.utils.validation import ValidationError, require, require_in
+
+if TYPE_CHECKING:  # the scenario package is imported on first use
+    from repro.scenarios.spec import ScenarioSpec
 
 __all__ = [
     "API_CELL_WORKER",
@@ -93,7 +96,7 @@ def _static_corpus_name(spec) -> str:
 
 def scenario_document(spec) -> Dict[str, Any]:
     """JSON-safe description of one scenario and the queries it can answer."""
-    spec = load_scenario(spec)
+    spec = _scenario_record(spec).spec
     return {
         "name": spec.name,
         "family": spec.family,
@@ -132,7 +135,7 @@ def resolve_query(spec, query: str) -> Union[BenchmarkQuery, TemporalQuery]:
     temporal queries targeting the scenario, so one resolver serves both
     answering paths.
     """
-    return _resolve_query(load_scenario(spec), query)
+    return _resolve_query(_scenario_record(spec).spec, query)
 
 
 def _resolve_query(spec, query: str) -> Union[BenchmarkQuery, TemporalQuery]:
@@ -159,7 +162,8 @@ def _resolve_query(spec, query: str) -> Union[BenchmarkQuery, TemporalQuery]:
 class QuerySpec:
     """One (scenario, query, model, backend) answer request."""
 
-    scenario: str
+    #: a registered scenario's name, or a spec of the caller's own
+    scenario: Union[str, ScenarioSpec]
     query: str
     model: str = DEFAULT_MODEL
     #: ``None`` picks the kind's default (networkx / direct)
@@ -384,7 +388,6 @@ def answer_query(scenario, query: str, model: str = DEFAULT_MODEL,
                  policy: Optional[ExecutorPolicy] = None,
                  config: Optional[BenchmarkConfig] = None) -> QueryAnswer:
     """Answer one query (corpus id or NL text) against one scenario."""
-    scenario = load_scenario(scenario).name
     return answer_queries(
         [QuerySpec(scenario=scenario, query=query, model=model, backend=backend)],
         policy=policy, config=config)[0]
@@ -395,12 +398,11 @@ def answer_temporal_query(scenario, query: str, model: str = DEFAULT_MODEL,
                           policy: Optional[ExecutorPolicy] = None,
                           config: Optional[BenchmarkConfig] = None) -> QueryAnswer:
     """Answer one temporal query over a scenario's replayed timeline."""
-    spec = load_scenario(scenario)
-    resolved = resolve_query(spec, query)
+    resolved = resolve_query(scenario, query)
     require(isinstance(resolved, TemporalQuery),
             f"query {resolved.query_id!r} is not a temporal query; "
             f"use answer_query() for static corpus queries")
-    return answer_query(spec.name, resolved.query_id, model=model,
+    return answer_query(scenario, resolved.query_id, model=model,
                         backend=backend, policy=policy, config=config)
 
 

@@ -96,23 +96,11 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
                             f"(default {DEFAULT_CACHE_DIR})")
     group.add_argument("--no-cache", action="store_true",
                        help="recompute every cell, bypassing the result cache")
-    group.add_argument("--cache-max-entries", type=int, default=None, metavar="N",
-                       help="bound the result cache at N entries with "
-                            "least-recently-used eviction (default: unbounded)")
 
 
-def _cache_from_args(args: argparse.Namespace):
-    """Resolve the --cache-dir/--no-cache/--cache-max-entries knobs."""
-    require(not (args.no_cache and args.cache_max_entries is not None),
-            "--no-cache and --cache-max-entries are mutually exclusive "
-            "(there is no cache to bound)")
-    if args.no_cache:
-        return None
-    if args.cache_max_entries is not None:
-        require(args.cache_max_entries >= 1,
-                f"--cache-max-entries must be at least 1, got {args.cache_max_entries}")
-        return ResultCache(args.cache_dir, max_entries=args.cache_max_entries)
-    return args.cache_dir
+def _cache_from_args(args: argparse.Namespace) -> Optional[ResultCache]:
+    """Resolve the --cache-dir/--no-cache knobs."""
+    return None if args.no_cache else ResultCache(args.cache_dir)
 
 
 def _execution_policy(args: argparse.Namespace) -> ExecutorPolicy:
@@ -514,7 +502,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     require(args.workers >= 1, f"--workers must be at least 1, got {args.workers}")
     service = ReproService(ServiceConfig(
         host=args.host, port=args.port, model=args.model, workers=args.workers,
-        cache=args.cache_dir))
+        cache=None if args.cache_dir is None else ResultCache(args.cache_dir)))
 
     async def _run() -> None:
         await service.start()

@@ -22,7 +22,7 @@ enforced by the tier-1 tests.
 """
 
 from repro.exec.api import run_tasks
-from repro.exec.cache import DEFAULT_CACHE_DIR, ResultCache, resolve_cache
+from repro.exec.cache import DEFAULT_CACHE_DIR, ResultCache
 from repro.exec.executors import ParallelExecutor, SerialExecutor, shard_tasks
 from repro.exec.policy import ExecutorPolicy
 from repro.exec.report import RunReport, TaskExecutionError, TaskResult
@@ -42,7 +42,6 @@ __all__ = [
     "TaskResult",
     "TaskSet",
     "clear_worker_contexts",
-    "resolve_cache",
     "resolve_worker",
     "run_tasks",
     "shard_tasks",

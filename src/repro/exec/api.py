@@ -18,7 +18,6 @@ import logging
 import time
 from typing import Optional
 
-from repro.exec.cache import resolve_cache
 from repro.exec.executors import SerialExecutor
 from repro.exec.policy import ExecutorPolicy
 from repro.exec.report import RunReport, TaskResult
@@ -49,7 +48,6 @@ def run_tasks(task_set: TaskSet,
     policy.validate()
     task_set.validate()
     executor = policy.build_executor(task_set)
-    result_cache = resolve_cache(policy.cache)
     started = time.perf_counter()
 
     dispatch_attrs = {"task_set": task_set.name, "tasks": len(task_set),
@@ -58,10 +56,10 @@ def run_tasks(task_set: TaskSet,
     with span("exec.run_tasks", attrs=dispatch_attrs):
         results = {}
         pending = []
-        if result_cache is not None:
+        if policy.cache is not None:
             with span("cache.lookup", attrs={"tasks": len(task_set)}):
                 for task in task_set:
-                    hit, value = result_cache.get(task.digest())
+                    hit, value = policy.cache.get(task.digest())
                     if hit:
                         results[task.key] = TaskResult(key=task.key, value=value,
                                                        cached=True)
@@ -92,13 +90,13 @@ def run_tasks(task_set: TaskSet,
                 # per-scenario state across runs.
                 clear_worker_contexts()
 
-        if result_cache is not None:
+        if policy.cache is not None:
             fresh_by_key = {task.key: task for task in pending}
             with span("cache.store", attrs={"tasks": len(fresh_by_key)}):
                 for key, task in fresh_by_key.items():
                     result = results[key]
                     if result.ok:
-                        result_cache.put(task.digest(), key, result.value)
+                        policy.cache.put(task.digest(), key, result.value)
 
     report = RunReport(
         task_set=task_set.name,

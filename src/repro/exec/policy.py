@@ -22,7 +22,7 @@ mechanisms produce byte-identical reports for the same task set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional
 
 from repro.exec.cache import ResultCache
 from repro.exec.executors import ParallelExecutor, SerialExecutor
@@ -45,8 +45,8 @@ class ExecutorPolicy:
     mode: str = "processes"
     #: worker count; 1 always means the in-process serial executor
     jobs: int = 1
-    #: ``None`` (no caching), a directory path, or a live :class:`ResultCache`
-    cache: Union[None, str, ResultCache] = None
+    #: the result cache, or ``None`` for no caching
+    cache: Optional[ResultCache] = None
     #: keep :func:`~repro.exec.workers.worker_context` memos alive after an
     #: in-process run — long-lived owners (the serve layer) opt in so
     #: per-scenario state survives across requests instead of rebuilding
@@ -72,11 +72,11 @@ class ExecutorPolicy:
     # constructors
     # ------------------------------------------------------------------
     @classmethod
-    def serial(cls, cache: Union[None, str, ResultCache] = None,
+    def serial(cls, cache: Optional[ResultCache] = None,
                **overrides) -> "ExecutorPolicy":
         return cls(mode="serial", jobs=1, cache=cache, **overrides)
 
     @classmethod
-    def processes(cls, jobs: int = 2, cache: Union[None, str, ResultCache] = None,
+    def processes(cls, jobs: int = 2, cache: Optional[ResultCache] = None,
                   **overrides) -> "ExecutorPolicy":
         return cls(mode="processes", jobs=jobs, cache=cache, **overrides)

@@ -27,7 +27,7 @@ from repro.utils.validation import require
 
 #: bumping this invalidates every cached result (change it when the result
 #: representation or the worker contract changes incompatibly)
-FABRIC_VERSION = 1
+FABRIC_VERSION = 2
 
 
 def canonical_payload(payload: Any) -> str:

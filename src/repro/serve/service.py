@@ -35,7 +35,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional
 
 from repro import __version__
 from repro.api import DEFAULT_MODEL, QuerySpec, answer_queries, list_scenarios
@@ -76,7 +76,7 @@ class ServiceConfig:
     #: concurrent answer threads (clients beyond this queue, not fail)
     workers: int = 4
     #: result cache threaded into the fabric policy (None = no caching)
-    cache: Union[None, str, ResultCache] = None
+    cache: Optional[ResultCache] = None
     benchmark: BenchmarkConfig = field(default_factory=BenchmarkConfig)
 
     def policy(self) -> ExecutorPolicy:

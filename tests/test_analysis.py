@@ -364,17 +364,3 @@ class TestFixedFindings:
             "How many nodes are in the communication graph?", app.graph)
         payload = json.loads(answer)
         assert list(payload) == sorted(payload)
-
-    def test_cache_recency_stays_out_of_digests(self, tmp_path):
-        # det-wallclock is suppressed (allowed) for the LRU recency stamp:
-        # prove the stamp cannot perturb digests or cached values
-        from repro.exec.cache import ResultCache
-        from repro.exec.task import Task
-
-        task = Task(key="cell", fn="m:f", payload={"x": 1})
-        cache = ResultCache(tmp_path / "cache")
-        cache.put(task.digest(), task.key, {"answer": 42})
-        assert task.digest() == Task(key="cell", fn="m:f",
-                                     payload={"x": 1}).digest()
-        hit, value = cache.get(task.digest())
-        assert hit and value == {"answer": 42}

@@ -99,6 +99,23 @@ class TestAnswers:
         assert [a.query_id for a in answers] == ["tq-e1", "tq-h1", "tq-e1"]
         assert answers[0].answer == answers[2].answer
 
+    def test_single_answers_honour_a_callers_spec(self):
+        # a spec object answers as itself, not as the registered scenario of
+        # the same name, and an unregistered spec answers too
+        from repro.scenarios.registry import get_scenario
+
+        spec = get_scenario("fat-tree-failover")
+        spec.params["k"] = 6
+        batch = api.answer_queries([QuerySpec(spec, "ta-e1"),
+                                    QuerySpec(spec, "tq-e1")])
+        assert [answer.answer for answer in batch] == [63, 125]
+        assert api.answer_query(spec, "ta-e1").answer == 63
+        assert api.answer_temporal_query(spec, "tq-e1").answer == 125
+
+        spec.name = "fat-tree-k6"
+        renamed = api.answer_query(spec, "ta-e1")
+        assert (renamed.scenario, renamed.answer) == ("fat-tree-k6", 63)
+
     def test_batch_is_identical_across_executors(self):
         requests = [QuerySpec("fat-tree-failover", query.query_id)
                     for query in temporal_queries_for("fat-tree-failover")]

@@ -383,9 +383,9 @@ class TestBenchmarkRunner:
                                                      tmp_path):
         # regression: saved result logs could not tell cache hits from fresh
         # runs — the runner now stamps each record with the fabric's verdict
-        from repro.exec import ExecutorPolicy
+        from repro.exec import ExecutorPolicy, ResultCache
 
-        options = ExecutorPolicy.serial(cache=str(tmp_path / "cache"))
+        options = ExecutorPolicy.serial(cache=ResultCache(tmp_path / "cache"))
         first = BenchmarkRunner(small_benchmark_config, policy=options) \
             .run_application("malt", models=["gpt-4"], backends=["networkx"])
         assert all(not r.cached for r in first.logger.records)

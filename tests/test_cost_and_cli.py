@@ -99,26 +99,3 @@ class TestCli:
         assert main(["cost", "--sizes", "40", "160"]) == 0
         out = capsys.readouterr().out
         assert "Cost vs graph size" in out
-
-    def test_cache_max_entries_knob_bounds_the_cache(self, capsys, tmp_path,
-                                                     monkeypatch):
-        from repro.exec import ResultCache
-
-        monkeypatch.chdir(tmp_path)
-        code = main(["benchmark", "--temporal", "--models", "gpt-4",
-                     "--scenarios", "fat-tree-failover",
-                     "--cache-dir", str(tmp_path / "cache"),
-                     "--cache-max-entries", "2"])
-        assert code == 0
-        assert "Temporal accuracy" in capsys.readouterr().out
-        # three (query, model) cells ran, but LRU eviction keeps only two
-        assert len(ResultCache(tmp_path / "cache")) == 2
-
-    def test_cache_max_entries_must_be_positive(self, capsys):
-        assert main(["benchmark", "--temporal", "--cache-max-entries", "0"]) == 1
-        assert "--cache-max-entries" in capsys.readouterr().err
-
-    def test_cache_max_entries_conflicts_with_no_cache(self, capsys):
-        assert main(["benchmark", "--temporal", "--no-cache",
-                     "--cache-max-entries", "5"]) == 1
-        assert "mutually exclusive" in capsys.readouterr().err
